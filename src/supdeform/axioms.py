@@ -1,8 +1,9 @@
-"""Brute-force verification of the super bracket axioms, and the linear
-systems that pin down admissible deformation functions F.
+"""Verification of the super bracket axioms, and the linear systems that pin
+down admissible deformation functions F.
 
-Checkers work on a ``BracketSystem``: an ordered graded basis plus a bracket
-callable.  "Pass" always means the defect is the exact zero element of Q[t]
+Checkers work on a ``BracketSystem``: an ordered graded basis plus a bilinear
+bracket callable, evaluated once per pair of basis atoms into a memoized
+table.  "Pass" always means the defect is the exact zero element of Q[t]
 coefficients, never numerically small.  Witnesses are reported in enumeration
 order, so the first (lexicographically lowest) failure wins.
 """
@@ -18,7 +19,7 @@ from . import qlinalg
 from .brackets import DeformationSpec, SuperElement, deformed_schouten, extension_bracket, form_bracket
 from .exterior import FORM, MULTIVECTOR, GradedElement, d, monomial_label
 from .liealg import LieAlgebraSpec, OneForm
-from .scalars import T, rat
+from .scalars import ONE, T, rat
 
 
 @dataclass(frozen=True)
@@ -34,17 +35,79 @@ class BasisItem:
 
 @dataclass
 class BracketSystem:
-    """An ordered homogeneous basis together with the bracket to test."""
+    """An ordered homogeneous basis together with the bracket to test.
+
+    The bracket must be Q[t]-bilinear, which holds for every bracket built
+    here because F depends only on degrees.  Elements are then handled as
+    sparse maps from atoms (basis monomials) to Q[t] coefficients, and the
+    bracket of two atoms is computed once, on first use, into a table that
+    lives as long as the system.  An atom is an index tuple (a monomial of a
+    ``GradedElement``, or the form part of a ``SuperElement``) or a 1-based
+    int (the coordinate vector y_i of a ``SuperElement``).
+    """
 
     label: str
     items: list[BasisItem]
     bracket: Callable
+    table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def pairs(self):
         return itertools.product(self.items, repeat=2)
 
     def triples(self):
         return itertools.product(self.items, repeat=3)
+
+    @staticmethod
+    def atoms(element) -> dict:
+        """Atom -> coefficient map of an element; read-only, it may share storage."""
+        if isinstance(element, SuperElement):
+            return {**element.vector, **element.form.terms}
+        return element.terms
+
+    def atom_bracket(self, x, y) -> dict:
+        """[x, y] for two atoms, from the table (read-only)."""
+        image = self.table.get((x, y))
+        if image is None:
+            proto = self.items[0].element
+            image = self.atoms(self.bracket(_atom_element(proto, x), _atom_element(proto, y)))
+            self.table[(x, y)] = image
+        return image
+
+    def image(self, u: dict, v: dict) -> dict:
+        """[u, v] for two sparse elements, by bilinearity over the table."""
+        out: dict = {}
+        for x, cx in u.items():
+            for y, cy in v.items():
+                c = cx * cy
+                for z, cz in self.atom_bracket(x, y).items():
+                    _accumulate(out, z, c * cz)
+        return out
+
+    def element(self, sparse: dict):
+        """The element of the items' type with the given atom coefficients."""
+        proto = self.items[0].element
+        if isinstance(proto, SuperElement):
+            form = {ids: c for ids, c in sparse.items() if isinstance(ids, tuple)}
+            vector = {i: c for i, c in sparse.items() if isinstance(i, int)}
+            return SuperElement(proto.n, GradedElement(FORM, proto.n, form), vector)
+        return GradedElement(proto.kind, proto.n, sparse)
+
+
+def _atom_element(proto, atom):
+    if isinstance(proto, SuperElement):
+        if isinstance(atom, int):
+            return SuperElement(proto.n, vector={atom: ONE})
+        return SuperElement.from_form(GradedElement.monomial(FORM, proto.n, atom))
+    return GradedElement.monomial(proto.kind, proto.n, atom)
+
+
+def _accumulate(out: dict, atom, coeff):
+    s = out.get(atom)
+    s = coeff if s is None else s + coeff
+    if s.is_zero():
+        out.pop(atom, None)
+    else:
+        out[atom] = s
 
 
 def _form_monomials(n: int, maxdeg: int) -> list[tuple[int, ...]]:
@@ -167,27 +230,47 @@ def superjacobi_defect(system: BracketSystem, a: BasisItem, b: BasisItem, c: Bas
     return total
 
 
-def check_supersymmetry(system: BracketSystem, maxitems: Optional[int] = None) -> AxiomReport:
-    items = system.items[:maxitems] if maxitems else system.items
+def check_supersymmetry(system: BracketSystem) -> AxiomReport:
+    """[x, y] against -(-1)^(x'y') [y, x] for every ordered pair, read from the
+    bracket table; ``supersymmetry_defect`` is the direct reference."""
+    items = system.items
+    atoms = [system.atoms(item.element) for item in items]
     checked = 0
-    for x, y in itertools.product(items, repeat=2):
+    for (i, x), (j, y) in itertools.product(enumerate(items), repeat=2):
         checked += 1
-        defect = supersymmetry_defect(system, x, y)
-        if not defect.is_zero():
-            return AxiomReport(system.label, "supersymmetry", "fail", Witness((x.label, y.label), defect), checked)
+        defect = system.image(atoms[i], atoms[j])
+        odd = (x.parity * y.parity) % 2
+        for z, c in system.image(atoms[j], atoms[i]).items():
+            _accumulate(defect, z, -c if odd else c)
+        if defect:
+            witness = Witness((x.label, y.label), system.element(defect))
+            return AxiomReport(system.label, "supersymmetry", "fail", witness, checked)
     return AxiomReport(system.label, "supersymmetry", "pass", None, checked)
 
 
-def check_superjacobi(system: BracketSystem, maxitems: Optional[int] = None) -> AxiomReport:
-    items = system.items[:maxitems] if maxitems else system.items
+def check_superjacobi(system: BracketSystem) -> AxiomReport:
+    """Graded cyclic sum of [[u, v], w] for every ordered triple, by sparse
+    contraction of the bracket table with itself; ``superjacobi_defect`` is
+    the direct reference."""
+    items = system.items
+    atoms = [system.atoms(item.element) for item in items]
+    inner: dict[tuple[int, int], dict] = {}
     checked = 0
-    for a, b, c in itertools.product(items, repeat=3):
+    for a, b, c in itertools.product(range(len(items)), repeat=3):
         checked += 1
-        defect = superjacobi_defect(system, a, b, c)
-        if not defect.is_zero():
-            return AxiomReport(
-                system.label, "superjacobi", "fail", Witness((a.label, b.label, c.label), defect), checked
-            )
+        defect: dict = {}
+        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
+            uv = inner.get((u, v))
+            if uv is None:
+                uv = inner[(u, v)] = system.image(atoms[u], atoms[v])
+            if not uv:
+                continue
+            odd = (items[u].parity * items[w].parity) % 2
+            for z, coeff in system.image(uv, atoms[w]).items():
+                _accumulate(defect, z, -coeff if odd else coeff)
+        if defect:
+            labels = (items[a].label, items[b].label, items[c].label)
+            return AxiomReport(system.label, "superjacobi", "fail", Witness(labels, system.element(defect)), checked)
     return AxiomReport(system.label, "superjacobi", "pass", None, checked)
 
 

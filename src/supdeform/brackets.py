@@ -352,38 +352,35 @@ def _closed_under_bracket(spec: LieAlgebraSpec, vectors) -> bool:
     return True
 
 
+def _lie_derivative_rows(spec: LieAlgebraSpec, phi: OneForm) -> list[list[Fraction]]:
+    """Rows of the linear map X |-> -phi([X, .]), one per basis vector y_k."""
+    n = spec.n
+    rows = []
+    for k in range(1, n + 1):
+        row = []
+        for i in range(1, n + 1):
+            val = Fraction(0)
+            for m, c in spec.bracket_basis(i, k).items():
+                val -= c * phi.coeffs[m - 1]
+            row.append(val)
+        rows.append(row)
+    return rows
+
+
+def _subalgebra(spec: LieAlgebraSpec, rows: list[list[Fraction]]) -> SubalgebraBasis:
+    basis = [VectorField(vec) for vec in qlinalg.nullspace(rows, spec.n)]
+    return SubalgebraBasis(tuple(basis), _closed_under_bracket(spec, basis))
+
+
 def solve_g0_prime(spec: LieAlgebraSpec, phi: OneForm) -> SubalgebraBasis:
     """Basis of g0' = {X : L_X phi = 0}, with a bracket-closure check.
 
     For invariant data L_X phi = iota_X d(phi), so this is the kernel of
     the linear map X |-> -phi([X, .]).
     """
-    n = spec.n
-    rows = []
-    for k in range(1, n + 1):
-        row = []
-        for i in range(1, n + 1):
-            val = Fraction(0)
-            for m, c in spec.bracket_basis(i, k).items():
-                val -= c * phi.coeffs[m - 1]
-            row.append(val)
-        rows.append(row)
-    basis = [VectorField(vec) for vec in qlinalg.nullspace(rows, n)]
-    return SubalgebraBasis(tuple(basis), _closed_under_bracket(spec, basis))
+    return _subalgebra(spec, _lie_derivative_rows(spec, phi))
 
 
 def solve_g0_doubleprime(spec: LieAlgebraSpec, phi: OneForm) -> SubalgebraBasis:
     """Basis of g0'' = g0' intersected with ker phi (a subalgebra for cocycle phi)."""
-    n = spec.n
-    rows = []
-    for k in range(1, n + 1):
-        row = []
-        for i in range(1, n + 1):
-            val = Fraction(0)
-            for m, c in spec.bracket_basis(i, k).items():
-                val -= c * phi.coeffs[m - 1]
-            row.append(val)
-        rows.append(row)
-    rows.append(list(phi.coeffs))
-    basis = [VectorField(vec) for vec in qlinalg.nullspace(rows, n)]
-    return SubalgebraBasis(tuple(basis), _closed_under_bracket(spec, basis))
+    return _subalgebra(spec, _lie_derivative_rows(spec, phi) + [list(phi.coeffs)])

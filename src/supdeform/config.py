@@ -83,7 +83,7 @@ def load_config(path: str) -> RunConfig:
     bracket_entries: list[tuple[int, int, int, int, Fraction]] = []  # lineno, i, j, k, c
     phi_coeffs = None
     kind = None
-    f_mode = None  # ("kappa", q) | ("constant", q) | ("table",)
+    f_mode = None  # ("kappa", q) | ("constant", q) | ("table", lineno)
     f_table: dict[tuple[int, int], tuple[int, Fraction]] = {}
     subalgebra = "none"
     weights: Optional[list[int]] = None
@@ -143,9 +143,9 @@ def load_config(path: str) -> RunConfig:
                 kind = value
             elif key == "F":
                 toks = value.split()
-                if toks[0] == "table" and len(toks) == 1:
-                    f_mode = ("table",)
-                elif toks[0] in ("kappa", "constant") and len(toks) == 2:
+                if toks == ["table"]:
+                    f_mode = ("table", lineno)
+                elif len(toks) == 2 and toks[0] in ("kappa", "constant"):
                     f_mode = (toks[0], _parse_rat(lineno, toks[1]))
                 else:
                     _fail(lineno, f"bad F specification {value!r}")
@@ -231,6 +231,12 @@ def load_config(path: str) -> RunConfig:
                     _fail(lineno, f"F table not symmetric at ({a},{b})")
                 table[(a, b)] = v
                 table[(b, a)] = v
+            if not phi.is_zero():
+                # the bracket reads F(a, b) wherever the wedge a + b + 1 <= dim survives
+                missing = next(((a, b) for a in range(dim) for b in range(dim - a) if (a, b) not in table), None)
+                if missing is not None:
+                    a, b = missing
+                    _fail(f_mode[1], f"F table has no entry for degrees ({a},{b}); it needs every a + b <= {dim - 1}")
             fspec = FSpec.from_table(table)
         elif f_mode[0] == "kappa":
             fspec = FSpec.kappa_family(f_mode[1])

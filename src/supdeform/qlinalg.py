@@ -75,6 +75,3 @@ def solve_in_span(span_rows: list[list[Fraction]], target: list[Fraction]):
     rows = [[span_rows[j][i] for j in range(cols)] for i in range(len(target))]
     return solve(rows, list(target))
 
-
-def row_space_equal(a: list[list[Fraction]], b: list[list[Fraction]]) -> bool:
-    return rref(a)[0] == rref(b)[0]

@@ -4,6 +4,7 @@ import itertools
 import random
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -21,10 +22,12 @@ from supdeform.axioms import (
     solve_F_closed,
     solve_F_nonclosed,
     superjacobi_defect,
+    supersymmetry_defect,
 )
-from supdeform.brackets import DeformationSpec, FSpec, solve_g0_prime
+from supdeform.brackets import DeformationSpec, FSpec, solve_g0_doubleprime, solve_g0_prime
+from supdeform.config import load_config
 from supdeform.exterior import FORM, GradedElement, d, wedge
-from supdeform.liealg import LieAlgebraSpec, OneForm, heisenberg3, solvable2
+from supdeform.liealg import LieAlgebraSpec, OneForm, VectorField, heisenberg3, solvable2
 from supdeform.scalars import T
 
 
@@ -184,6 +187,101 @@ def test_multivector_system_axioms_dim_le_3():
         system = multivector_system(alg, phi)
         assert check_supersymmetry(system).passed
         assert check_superjacobi(system).passed
+
+
+# -- bracket table against direct composition -----------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+SHIPPED = ["dim2-standard", "dim2-trivial", "dim2-extended", "heisenberg-closed", "heisenberg-nonclosed"]
+
+
+def _direct_check(system, arity):
+    """(checked, witness labels, witness defect string) by composing the bracket
+    directly on every pair or triple, in the checkers' enumeration order."""
+    defect_of = supersymmetry_defect if arity == 2 else superjacobi_defect
+    checked = 0
+    for combo in itertools.product(system.items, repeat=arity):
+        checked += 1
+        defect = defect_of(system, *combo)
+        if not defect.is_zero():
+            return checked, tuple(item.label for item in combo), str(defect)
+    return checked, None, None
+
+
+def _report_triple(report):
+    w = report.witness
+    return report.checked, (w.labels if w else None), (str(w.defect) if w else None)
+
+
+def _assert_table_matches_direct(system):
+    assert _report_triple(check_supersymmetry(system)) == _direct_check(system, 2)
+    assert _report_triple(check_superjacobi(system)) == _direct_check(system, 3)
+
+
+def _shipped_systems(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        config = load_config(str(ROOT / "configs" / f"{name}.cfg"))
+    systems = [form_system(config.deformation), multivector_system(config.algebra, config.phi)]
+    if config.extension != "none":
+        solver = solve_g0_prime if config.extension == "g0prime" else solve_g0_doubleprime
+        systems.append(extension_system(config.deformation, solver(config.algebra, config.phi).vectors))
+    return systems
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_table_checkers_match_direct_composition_on_shipped_configs(name):
+    for system in _shipped_systems(name):
+        _assert_table_matches_direct(system)
+
+
+def test_table_checkers_match_direct_composition_on_filiform5_prefix():
+    config = load_config(str(ROOT / "bench" / "configs" / "filiform5-standard.cfg"))
+    full = form_system(config.deformation)
+    system = BracketSystem(full.label, full.items[:12], full.bracket)
+    _assert_table_matches_direct(system)
+
+
+def test_table_checkers_match_direct_composition_on_non_coordinate_vector():
+    system = extension_system(DeformationSpec.standard(ALG2, Z2), [VectorField.make((1, 1))])
+    assert system.items[0].label == "x1"
+    _assert_table_matches_direct(system)
+
+
+def test_table_contraction_matches_every_direct_defect():
+    """Not only the first witness: on systems where many triples fail, every
+    triple's contraction through the table equals the direct cyclic sum."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        spec = DeformationSpec.standard(heisenberg3(), OneForm.dual_basis(3, 3))
+    vectors = [VectorField.basis(3, 1), VectorField.make((2, 0, -1))]
+    for system in (form_system(spec), extension_system(spec, vectors)):
+        failing = 0
+        for a, b, c in system.triples():
+            total = None
+            for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
+                uv = system.image(system.atoms(u.element), system.atoms(v.element))
+                term = system.element(system.image(uv, system.atoms(w.element)))
+                term = -term if (u.parity * w.parity) % 2 else term
+                total = term if total is None else total + term
+            assert total == superjacobi_defect(system, a, b, c)
+            failing += not total.is_zero()
+        assert failing
+
+
+def test_bracket_table_evaluates_each_atom_pair_once():
+    calls = []
+    spec = DeformationSpec.standard(heisenberg3(), OneForm.dual_basis(3, 1))
+    base = form_system(spec)
+
+    def counted(x, y):
+        calls.append((x, y))
+        return base.bracket(x, y)
+
+    system = BracketSystem(base.label, base.items, counted)
+    assert check_supersymmetry(system).passed
+    assert check_superjacobi(system).passed
+    assert len(calls) == len(set(calls)) == len(system.table) <= len(system.items) ** 2
 
 
 # -- F solution spaces -------------------------------------------------------

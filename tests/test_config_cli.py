@@ -1,6 +1,9 @@
 """Configuration parsing and the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +14,8 @@ from supdeform.brackets import DeformationKind
 from supdeform.cli import main
 from supdeform.config import ConfigError, load_config
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 STANDARD_CFG = """
 [algebra]
@@ -109,6 +113,14 @@ kind = standard
         with pytest.raises(ConfigError, match="not symmetric"):
             load_config(write(tmp_path, bad))
 
+    def test_incomplete_F_table_needs_zero_phi(self, tmp_path):
+        cfg = STANDARD_CFG.replace("kind = standard", "kind = trivial\nF = table\nF 0 0 = 1")
+        with pytest.raises(ConfigError, match=r"line 11: F table has no entry for degrees \(0,1\)"):
+            load_config(write(tmp_path, cfg))
+        # with phi = 0 the bracket never reads F, so a partial table is fine
+        config = load_config(write(tmp_path, cfg.replace("coeffs = 0 1", "coeffs = 0 0")))
+        assert config.deformation.F.describe() == "table on 1 pairs"
+
     def test_F_rejected_for_standard(self, tmp_path):
         cfg = STANDARD_CFG.replace("kind = standard", "kind = standard\nF = kappa 1")
         with pytest.raises(ConfigError, match="only be specified for the trivial"):
@@ -137,6 +149,28 @@ class TestCli:
         bad.write_text("[algebra]\ndim = nope\n")
         assert main(["betti", "--config", str(bad)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["axioms", "betti"])
+    @pytest.mark.parametrize(
+        "f_lines, message",
+        [
+            ("F = table\nF 0 0 = 1", "line 13: F table has no entry for degrees (0,1)"),
+            ("F =", "line 13: bad F specification ''"),
+        ],
+    )
+    def test_bad_F_exit_two_without_traceback(self, tmp_path, command, f_lines, message):
+        text = (CONFIG_DIR / "dim2-trivial.cfg").read_text().replace("F = constant 1", f_lines)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "supdeform.cli", command, "--config", write(tmp_path, text)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert message in proc.stderr
 
     def test_missing_file_exit_two(self, capsys):
         assert main(["betti", "--config", "/nonexistent.cfg"]) == 2
