@@ -131,11 +131,7 @@ def cmd_chain(config: RunConfig, args) -> int:
 
 def cmd_betti(config: RunConfig, args) -> int:
     system = ChainComplexSystem(config.deformation, config.extension)
-    try:
-        reports = [homology.betti_piecewise(system, w, config.max_degree) for w in _weights(config, args)]
-    except RuntimeError as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
-        return 1
+    reports = [homology.betti_piecewise(system, w, config.max_degree) for w in _weights(config, args)]
     payload = {"command": "betti", "reports": [r.to_json() for r in reports]}
     _emit(payload, _resolved_format(config, args), lambda: "\n\n".join(r.to_text() for r in reports))
     return 0
@@ -243,6 +239,9 @@ def main(argv=None) -> int:
         if args.command == "schouten":
             return cmd_schouten(config, args)
         raise AssertionError(f"unhandled command {args.command}")
+    except RuntimeError as exc:
+        print(f"internal consistency failure: {exc}", file=sys.stderr)
+        return 1
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -1,12 +1,16 @@
 """Boundary matrices over Q[t], parametric ranks, and piecewise Betti numbers.
 
-Generic ranks are computed fraction-free (Bareiss) over Q[t].  The special
-locus of a weight-w complex is the set of monic irreducible polynomial
-conditions where some boundary rank drops; at a rational root ranks are
-recomputed by exact substitution, at an irrational condition p over the
-quotient ring Q[t]/(p).  If a supposedly irreducible p splits during an
-inversion, the condition is refined and recomputed (this cannot happen for
-conditions of degree <= 3, which are certified by the factoring routine).
+Each boundary matrix is eliminated once, fraction-free (Bareiss) over Q[t],
+skipping work on zero entries; the resulting rank and pivots serve both the
+generic rank and the special locus.  The special locus of a weight-w complex
+is the set of monic irreducible polynomial conditions where some boundary
+rank drops: small matrices take the gcd of all maximal nonzero minors, larger
+ones factor the pivots and keep the factors where the rank really drops.  At
+a rational root ranks are recomputed by exact substitution, at an irrational
+condition p over the quotient ring Q[t]/(p).  If a supposedly irreducible p
+splits during an inversion, the condition is refined and recomputed (this
+cannot happen for conditions of degree <= 3, which are certified by the
+factoring routine).  d.d = 0 is checked exactly on the column nonzeros.
 """
 
 from __future__ import annotations
@@ -39,6 +43,15 @@ class BoundaryMatrix:
     def shape(self) -> tuple[int, int]:
         return len(self.rows), len(self.cols)
 
+    def column_nonzeros(self) -> list[list[tuple[int, PolyT]]]:
+        """Per column, the (row index, entry) pairs with a nonzero entry."""
+        columns: list[list[tuple[int, PolyT]]] = [[] for _ in self.cols]
+        for r, row in enumerate(self.entries):
+            for c, e in enumerate(row):
+                if e:
+                    columns[c].append((r, e))
+        return columns
+
 
 def boundary_matrix(system: ChainComplexSystem, m: int, w: int) -> BoundaryMatrix:
     cols = system.enumerate_basis(m, w)
@@ -59,10 +72,15 @@ def _entries(M: Union[BoundaryMatrix, list]) -> list[list[PolyT]]:
     return M.entries if isinstance(M, BoundaryMatrix) else M
 
 
-def bareiss(entries: list[list[PolyT]]) -> tuple[int, list[PolyT]]:
+Elimination = tuple[int, list[PolyT]]
+
+
+def bareiss(entries: list[list[PolyT]]) -> Elimination:
     """Fraction-free elimination; returns (rank, pivot sequence).
 
     Pivots are chosen of minimal degree so the pivot product stays small.
+    A cross term with a zero factor is skipped, and an entry that stays zero
+    is not divided.
     """
     M = [row[:] for row in entries]
     nrows = len(M)
@@ -75,16 +93,31 @@ def bareiss(entries: list[list[PolyT]]) -> tuple[int, list[PolyT]]:
             break
         best = None
         for i in range(r, nrows):
-            if not M[i][c].is_zero() and (best is None or M[i][c].degree < M[best][c].degree):
+            if M[i][c] and (best is None or M[i][c].degree < M[best][c].degree):
                 best = i
         if best is None:
             continue
         M[r], M[best] = M[best], M[r]
-        piv = M[r][c]
+        pivot_row = M[r]
+        piv = pivot_row[c]
         for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                M[i][j] = (piv * M[i][j] - M[i][c] * M[r][j]).exact_div(prev)
-            M[i][c] = ZERO
+            row = M[i]
+            lead = row[c]
+            if lead:
+                for j in range(c + 1, ncols):
+                    x, e = row[j], pivot_row[j]
+                    if e:
+                        num = piv * x - lead * e if x else -(lead * e)
+                    elif x:
+                        num = piv * x
+                    else:
+                        continue
+                    row[j] = num.exact_div(prev)
+                row[c] = ZERO
+            else:
+                for j in range(c + 1, ncols):
+                    if row[j]:
+                        row[j] = (piv * row[j]).exact_div(prev)
         pivots.append(piv)
         prev = piv
         r += 1
@@ -138,7 +171,8 @@ class FactorSplit(Exception):
 
 
 def rank_at_rational(M: Union[BoundaryMatrix, list], t0: Fraction) -> int:
-    rows = [[e(t0) for e in row] for row in _entries(M)]
+    zero = Fraction(0)
+    rows = [[e(t0) if e else zero for e in row] for row in _entries(M)]
     return qlinalg.rank(rows)
 
 
@@ -177,13 +211,16 @@ def rank_modulo(M: Union[BoundaryMatrix, list], p: PolyT) -> int:
 
 
 def special_locus_for_matrix(
-    entries: list[list[PolyT]], rank: Optional[int] = None, method: str = "auto"
+    entries: list[list[PolyT]], elimination: Optional[Elimination] = None, method: str = "auto"
 ) -> list[PolyT]:
-    """Monic irreducible conditions where this matrix's rank drops."""
+    """Monic irreducible conditions where this matrix's rank drops.
+
+    ``elimination`` is the matrix's ``bareiss`` result when the caller has
+    it; otherwise the matrix is eliminated here, once.
+    """
     if not entries or not entries[0]:
         return []
-    if rank is None:
-        rank = generic_rank(entries)
+    rank, pivots = elimination if elimination is not None else bareiss(entries)
     if rank == 0:
         return []
     nrows, ncols = len(entries), len(entries[0])
@@ -196,7 +233,7 @@ def special_locus_for_matrix(
     if method != "pivots":
         raise ValueError(f"unknown locus method {method!r}")
     product = ONE
-    for piv in bareiss(entries)[1]:
+    for piv in pivots:
         product = product * piv
     if product.degree < 1:
         return []
@@ -234,17 +271,30 @@ def _poly_sort_key(p: PolyT):
     return (p.degree, tuple(p.coeffs))
 
 
-def special_locus(system: ChainComplexSystem, w: int, max_degree: Optional[int] = None) -> list[PolyT]:
-    """Union over m of each boundary matrix's rank-drop conditions."""
+def _boundary_matrices(system: ChainComplexSystem, w: int, max_degree: Optional[int]) -> list[BoundaryMatrix]:
+    """d_1 .. d_bound of the weight-w complex, bound capped by max_degree."""
     bound = system.max_length(w)
     if max_degree is not None:
         bound = min(bound, max_degree)
-    seen = {}
-    for m in range(1, bound + 1):
-        M = boundary_matrix(system, m, w)
-        for factor in special_locus_for_matrix(M.entries):
-            seen[tuple(factor.coeffs)] = factor
-    return sorted(seen.values(), key=_poly_sort_key)
+    return [boundary_matrix(system, m, w) for m in range(1, bound + 1)]
+
+
+def _ranks_and_locus(matrices: list[BoundaryMatrix]) -> tuple[list[int], list[PolyT]]:
+    """Generic ranks and the union of rank-drop conditions, one elimination
+    per matrix; each elimination is dropped once its locus is known."""
+    ranks = []
+    locus = {}
+    for M in matrices:
+        elimination = bareiss(M.entries) if M.rows and M.cols else (0, [])
+        ranks.append(elimination[0])
+        for factor in special_locus_for_matrix(M.entries, elimination):
+            locus[tuple(factor.coeffs)] = factor
+    return ranks, sorted(locus.values(), key=_poly_sort_key)
+
+
+def special_locus(system: ChainComplexSystem, w: int, max_degree: Optional[int] = None) -> list[PolyT]:
+    """Union over m of each boundary matrix's rank-drop conditions."""
+    return _ranks_and_locus(_boundary_matrices(system, w, max_degree))[1]
 
 
 @dataclass
@@ -331,25 +381,17 @@ def _check_euler(dims: list[int], betti: list[int], context: str):
 
 def betti_piecewise(system: ChainComplexSystem, w: int, max_degree: Optional[int] = None) -> BettiReport:
     """Assemble the piecewise Betti report of the weight-w complex."""
-    bound = system.max_length(w)
-    if max_degree is not None:
-        bound = min(bound, max_degree)
-    degrees = list(range(1, bound + 1))
-    matrices = [boundary_matrix(system, m, w) for m in degrees]
+    matrices = _boundary_matrices(system, w, max_degree)
+    degrees = [M.m for M in matrices]
     dims = [len(M.cols) for M in matrices]
     _check_complex(matrices)
 
-    gen_ranks = [generic_rank(M) for M in matrices]
+    gen_ranks, locus = _ranks_and_locus(matrices)
     gen_kernels, gen_betti = _betti_from_ranks(dims, gen_ranks)
     _check_euler(dims, gen_betti, f"generic, weight {w}")
 
-    locus = {}
-    for M in matrices:
-        for factor in special_locus_for_matrix(M.entries):
-            locus[tuple(factor.coeffs)] = factor
-
     special = []
-    queue = sorted(locus.values(), key=_poly_sort_key)
+    queue = list(locus)
     while queue:
         cond = queue.pop(0)
         try:
@@ -373,20 +415,21 @@ def betti_piecewise(system: ChainComplexSystem, w: int, max_degree: Optional[int
         special.append(SpecialCase(cond, point, ranks, kernels, betti))
 
     special.sort(key=lambda case: _poly_sort_key(case.condition))
-    return BettiReport(
-        w, degrees, dims, gen_ranks, gen_kernels, gen_betti, sorted(locus.values(), key=_poly_sort_key), special
-    )
+    return BettiReport(w, degrees, dims, gen_ranks, gen_kernels, gen_betti, locus, special)
 
 
 def _check_complex(matrices: list[BoundaryMatrix]):
-    """d_m . d_{m+1} = 0 as matrices over Q[t]."""
-    for A, B in zip(matrices, matrices[1:]):
-        if not A.cols or not B.cols or not A.rows:
-            continue
-        for i in range(len(A.rows)):
-            for j in range(len(B.cols)):
-                acc = ZERO
-                for k in range(len(A.cols)):
-                    acc = acc + A.entries[i][k] * B.entries[k][j]
-                if not acc.is_zero():
-                    raise RuntimeError(f"d.d != 0 between degrees {A.m} and {B.m}")
+    """d_m . d_{m+1} = 0 as matrices over Q[t], on the column nonzeros.
+
+    Column j of the product is the sum of B[k][j] times column k of A over
+    the nonzero B[k][j]; every entry it does not reach is an empty sum.
+    """
+    columns = [M.column_nonzeros() for M in matrices]
+    for A, B, a_cols, b_cols in zip(matrices, matrices[1:], columns, columns[1:]):
+        for b_col in b_cols:
+            acc: dict[int, PolyT] = {}
+            for k, b in b_col:
+                for i, a in a_cols[k]:
+                    acc[i] = acc[i] + a * b if i in acc else a * b
+            if any(acc.values()):
+                raise RuntimeError(f"d.d != 0 between degrees {A.m} and {B.m}")

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
-    m = [list(map(Fraction, r)) for r in rows]
+    m = [[x if isinstance(x, Fraction) else Fraction(x) for x in r] for r in rows]
     if not m:
         return [], []
     ncols = len(m[0])
@@ -18,12 +18,17 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        pivot = m[r]
+        support = [j for j in range(c, ncols) if pivot[j]]  # a zero entry changes no row
+        inv = 1 / pivot[c]
+        for j in support:
+            pivot[j] *= inv
         for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            row = m[i]
+            if i != r and row[c] != 0:
+                f = row[c]
+                for j in support:
+                    row[j] -= f * pivot[j]
         pivots.append(c)
         r += 1
         if r == len(m):

@@ -54,6 +54,14 @@ class PolyT:
     def const(cls, value) -> "PolyT":
         return cls((rat(value),))
 
+    @classmethod
+    def _wrap(cls, coeffs: tuple) -> "PolyT":
+        """A polynomial from a tuple of Fractions whose last entry is nonzero,
+        taken as is (no coercion, no strip)."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", coeffs)
+        return p
+
     @property
     def degree(self) -> int:
         """Degree, with the convention deg 0 = -1."""
@@ -116,12 +124,21 @@ class PolyT:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return ZERO
+        if len(b) == 1 and b[0] == 1:
+            return self
+        if len(a) == 1 and a[0] == 1:
+            return other
+        # the product of nonzero rationals is nonzero, so neither product
+        # below ends in a zero coefficient
+        if len(b) == 1 or len(a) == 1:
+            scale, poly_ = (b[0], self) if len(b) == 1 else (a[0], other)
+            return PolyT._wrap(tuple(scale * c for c in poly_.coeffs))
         out = [Fraction(0)] * (len(a) + len(b) - 1)
         for i, ci in enumerate(a):
             if ci:
                 for j, cj in enumerate(b):
                     out[i + j] += ci * cj
-        return PolyT(out)
+        return PolyT._wrap(tuple(out))
 
     __rmul__ = __mul__
 
@@ -131,6 +148,12 @@ class PolyT:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        if len(other.coeffs) == 1:  # a unit: exact, remainder 0
+            c = other.coeffs[0]
+            if c == 1:
+                return self, ZERO
+            inv = 1 / c
+            return PolyT._wrap(tuple(x * inv for x in self.coeffs)), ZERO
         rem = list(self.coeffs)
         dq = len(rem) - len(other.coeffs)
         if dq < 0:

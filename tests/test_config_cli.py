@@ -175,6 +175,20 @@ class TestCli:
     def test_missing_file_exit_two(self, capsys):
         assert main(["betti", "--config", "/nonexistent.cfg"]) == 2
 
+    @pytest.mark.parametrize("command", ["chain", "betti"])
+    def test_internal_failure_exits_one_without_traceback(self, monkeypatch, capsys, command):
+        from supdeform import homology
+
+        def broken(*_args):
+            raise RuntimeError("boundary image left the expected weight space")
+
+        monkeypatch.setattr(homology, "boundary_matrix", broken)
+        # an escaping exception would fail this call instead of returning 1
+        assert main([command, "--config", self._cfg("dim2-standard.cfg")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal consistency failure: boundary image left the expected weight space\n"
+
     def test_betti_json_round_trip_byte_identical(self, capsys):
         assert main(["betti", "--config", self._cfg("dim2-extended.cfg"), "--format", "json"]) == 0
         out = capsys.readouterr().out.strip()

@@ -1,15 +1,23 @@
 """Boundary matrices, parametric ranks, special loci, and Betti reports."""
 
+import hashlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from supdeform import homology
 from supdeform.brackets import DeformationSpec, FSpec
 from supdeform.chains import ChainComplexSystem, ChainElement
+from supdeform.cli import main
+from supdeform.config import load_config
 from supdeform.homology import (
     BoundaryMatrix,
+    _check_complex,
     bareiss,
     betti_piecewise,
     boundary_matrix,
@@ -22,6 +30,8 @@ from supdeform.homology import (
 )
 from supdeform.liealg import OneForm, solvable2
 from supdeform.scalars import ONE, PolyT, T, ZERO, poly
+
+AFF_G0P = str(Path(__file__).resolve().parent.parent / "bench" / "configs" / "aff1-aff1-g0prime.cfg")
 
 ALG2 = solvable2()
 Z2 = OneForm.dual_basis(2, 2)
@@ -277,3 +287,123 @@ def test_complex_property_dd_zero_matrixwise(sys_ext):
                     for k in range(len(A.cols)):
                         acc = acc + A.entries[i][k] * B.entries[k][j]
                     assert acc.is_zero()
+
+
+def _dense_bareiss(entries):
+    """Reference: Bareiss with every cross term formed and every entry divided."""
+    M = [row[:] for row in entries]
+    nrows = len(M)
+    ncols = len(M[0]) if nrows else 0
+    pivots = []
+    prev = ONE
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        best = None
+        for i in range(r, nrows):
+            if not M[i][c].is_zero() and (best is None or M[i][c].degree < M[best][c].degree):
+                best = i
+        if best is None:
+            continue
+        M[r], M[best] = M[best], M[r]
+        piv = M[r][c]
+        for i in range(r + 1, nrows):
+            for j in range(c + 1, ncols):
+                M[i][j] = (piv * M[i][j] - M[i][c] * M[r][j]).exact_div(prev)
+            M[i][c] = ZERO
+        pivots.append(piv)
+        prev = piv
+        r += 1
+    return len(pivots), pivots
+
+
+_small_polys = st.lists(st.integers(-3, 3).map(Fraction), min_size=1, max_size=3).map(PolyT)
+
+
+@st.composite
+def _sparse_matrices(draw):
+    """Mostly-zero matrices, some with dependent rows and all-zero columns."""
+    nrows, ncols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    density = draw(st.sampled_from([0.0, 0.2, 0.4, 0.7]))
+    rows = [
+        [draw(_small_polys) if draw(st.floats(0, 1)) < density else ZERO for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    if draw(st.booleans()):  # a Q[t]-combination of two rows: rank deficient
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        a, b = draw(_small_polys), draw(_small_polys)
+        rows.insert(draw(st.integers(0, nrows)), [a * x + b * y for x, y in zip(rows[i], rows[j])])
+    for c in draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)):
+        for row in rows:
+            row[c] = ZERO
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_matrices())
+def test_zero_aware_bareiss_matches_dense_reference(entries):
+    before = [row[:] for row in entries]
+    assert bareiss(entries) == _dense_bareiss(entries)
+    assert entries == before
+
+
+def test_betti_piecewise_eliminates_each_matrix_once(monkeypatch):
+    config = load_config(AFF_G0P)
+    system = ChainComplexSystem(config.deformation, config.extension)
+    calls = {"bareiss": 0, "det_poly": 0}
+
+    def counting(name):
+        original = getattr(homology, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(homology, name, counting(name))
+    report = betti_piecewise(system, -4)
+    matrices = [boundary_matrix(system, m, -4) for m in report.degrees]
+    assert all(M.cols for M in matrices)
+    # the minors path runs on one small matrix; det_poly eliminates each minor
+    assert calls["det_poly"] > 0
+    assert calls["bareiss"] == sum(1 for M in matrices if M.rows) + calls["det_poly"]
+    assert [str(p) for p in report.locus] == ["t"]
+    assert report.generic_betti == [0, 0, 3, 6, 3, 0, 0, 0]
+    assert [(case.label(), case.betti) for case in report.special] == [("t = 0", [0, 0, 4, 9, 6, 1, 0, 0])]
+
+
+def test_special_locus_for_matrix_reuses_given_elimination(sys_ext, monkeypatch):
+    M = boundary_matrix(sys_ext, 3, -3)
+    elimination = bareiss(M.entries)
+    expected = special_locus_for_matrix(M.entries, method="pivots")
+
+    def no_elimination(_entries):
+        raise AssertionError("eliminated again")
+
+    monkeypatch.setattr(homology, "bareiss", no_elimination)
+    assert special_locus_for_matrix(M.entries, elimination, method="pivots") == expected
+    assert [str(p) for p in expected] == ["t", "2/3 + t"]
+
+
+def test_check_complex_raises_on_nonzero_composite():
+    """A.B vanishes except in its last entry, which only the full sparse
+    product reaches."""
+    A = BoundaryMatrix(2, 0, ["u0", "u1"], ["v0", "v1", "v2"], [[ONE, T, ZERO], [ZERO, ZERO, T]])
+    B_ok = BoundaryMatrix(3, 0, ["v0", "v1", "v2"], ["x0", "x1"], [[T, ZERO], [-ONE, ZERO], [ZERO, ZERO]])
+    _check_complex([A, B_ok])
+    B_bad = BoundaryMatrix(3, 0, ["v0", "v1", "v2"], ["x0", "x1"], [[T, ZERO], [-ONE, ZERO], [ZERO, ONE]])
+    with pytest.raises(RuntimeError, match=r"^d\.d != 0 between degrees 2 and 3$"):
+        _check_complex([A, B_bad])
+
+
+def test_betti_g0p_weight_minus_five_answer_pinned(capsys):
+    """The w = -5 report on aff(1)+aff(1) extended by g0', as two independent
+    computations gave it."""
+    assert main(["betti", "--config", AFF_G0P, "--weight", "-5", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0e9bba05ba8125c88f78fdb4f76e3c2dd421a7840280ea9627846bed9fd98c89"
+    )

@@ -138,3 +138,41 @@ def test_divmod_exactness():
     assert q == poly(1, 1) and r.is_zero()
     with pytest.raises(ArithmeticError):
         poly(1, 1).exact_div(T)
+
+
+def _convolution(p: PolyT, q: PolyT) -> PolyT:
+    """Schoolbook product of the coefficient lists, normalized by PolyT."""
+    out = [Fraction(0)] * max(len(p.coeffs) + len(q.coeffs) - 1, 0)
+    for i, ci in enumerate(p.coeffs):
+        for j, cj in enumerate(q.coeffs):
+            out[i + j] += ci * cj
+    return PolyT(out)
+
+
+factors = st.one_of(
+    st.sampled_from([ZERO, ONE, -ONE, PolyT.const(Fraction(-3, 2))]),
+    small_fractions.map(PolyT.const),
+    polys(),
+)
+
+
+@given(factors, factors)
+def test_product_matches_convolution(p, q):
+    for prod in (p * q, q * p):
+        assert prod == _convolution(p, q)
+        # normalized as PolyT.__init__ would leave it: Fractions, no trailing zero
+        assert all(type(c) is Fraction for c in prod.coeffs)
+        assert not prod.coeffs or prod.coeffs[-1] != 0
+    assert p * 1 == p == 1 * p
+    if p and p != ONE:  # ONE * ONE may return either factor
+        assert (ONE * p) is p and (p * ONE) is p
+
+
+@given(polys(), factors.filter(bool))
+def test_divmod_identity_including_unit_divisors(p, d):
+    q, r = divmod(p, d)
+    assert q * d + r == p
+    assert r.degree < d.degree or r.is_zero()
+    assert all(type(c) is Fraction for c in q.coeffs + r.coeffs)
+    if d.degree == 0:
+        assert r.is_zero() and p.exact_div(d) == q
