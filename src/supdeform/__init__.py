@@ -27,7 +27,7 @@ from .exterior import (
 )
 from .homology import BettiReport, betti_piecewise, boundary_matrix, generic_rank, special_locus
 from .liealg import LieAlgebraSpec, OneForm, VectorField, abelian, heisenberg3, solvable2, validate_jacobi
-from .scalars import PolyT, RatFuncT, Rational, T, eval_at, poly, poly_gcd, rational_roots
+from .scalars import PolyT, Rational, T, poly, poly_gcd, rational_roots
 
 __version__ = "0.1.0"
 
@@ -45,7 +45,6 @@ __all__ = [
     "MULTIVECTOR",
     "OneForm",
     "PolyT",
-    "RatFuncT",
     "Rational",
     "SuperElement",
     "T",
@@ -57,7 +56,6 @@ __all__ = [
     "contract",
     "d",
     "deformed_schouten",
-    "eval_at",
     "extension_bracket",
     "form_bracket",
     "generic_rank",

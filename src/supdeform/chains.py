@@ -278,7 +278,7 @@ class ChainComplexSystem:
                              Y_1 A ... ^Y_i ... A [Y_i,Y_j]@j A ... A Y_m
         """
         m = len(word)
-        acc = ChainElement.zero()
+        terms: dict[SuperWord, PolyT] = {}
         for i in range(m):
             par_i = word[i].parity
             for j in range(i + 1, m):
@@ -289,20 +289,15 @@ class ChainComplexSystem:
                 sgn = -1 if (i + between) % 2 else 1  # i-1 with 1-based i == i with 0-based
                 prefix = word[:i] + word[i + 1 : j]
                 suffix = word[j + 1 :]
-                terms: dict[SuperWord, PolyT] = {}
                 for gen, coeff in values:
                     norm = normalize(prefix + (gen,) + suffix)
                     if norm is None:
                         continue
                     s2, canon = norm
                     total = coeff if sgn * s2 > 0 else -coeff
-                    prev = terms.get(canon, ZERO) + total
-                    if prev.is_zero():
-                        terms.pop(canon, None)
-                    else:
-                        terms[canon] = prev
-                acc = acc + ChainElement(terms)
-        return acc
+                    prev = terms.get(canon)
+                    terms[canon] = total if prev is None else prev + total
+        return ChainElement(terms)  # drops the words whose terms cancelled
 
     def boundary(self, element: ChainElement) -> ChainElement:
         out = ChainElement.zero()

@@ -3,14 +3,20 @@
 Each boundary matrix is eliminated once, fraction-free (Bareiss) over Q[t],
 skipping work on zero entries; the resulting rank and pivots serve both the
 generic rank and the special locus.  The special locus of a weight-w complex
-is the set of monic irreducible polynomial conditions where some boundary
-rank drops: small matrices take the gcd of all maximal nonzero minors, larger
-ones factor the pivots and keep the factors where the rank really drops.  At
-a rational root ranks are recomputed by exact substitution, at an irrational
-condition p over the quotient ring Q[t]/(p).  If a supposedly irreducible p
-splits during an inversion, the condition is refined and recomputed (this
-cannot happen for conditions of degree <= 3, which are certified by the
-factoring routine).  d.d = 0 is checked exactly on the column nonzeros.
+is the set of monic polynomial conditions where some boundary rank drops.
+For every matrix it comes from one verified pivot: the last fraction-free
+pivot is a nonzero maximal minor (Sylvester's identity), so each rank-drop
+condition divides it; each of its factors is kept only if the exact rank
+really drops there.  At a rational root ranks are recomputed by exact
+substitution, at an irrational condition p over the quotient ring Q[t]/(p).
+If a supposedly irreducible p splits during an inversion, the condition is
+refined and recomputed (this cannot happen for conditions of degree <= 3,
+which are certified by the factoring routine).  The union over the matrices
+splits conditions on any shared factor, so the conditions are pairwise
+coprime and squarefree, with constant ranks on each one's zero set.  The gcd
+of all maximal minors (``minors_gcd``) defines a matrix's locus; it forms
+every minor, so it serves only as the reference the tests compare against.
+d.d = 0 is checked exactly on the column nonzeros.
 """
 
 from __future__ import annotations
@@ -22,11 +28,7 @@ from typing import Optional, Union
 
 from . import qlinalg
 from .chains import ChainComplexSystem, SuperWord
-from .scalars import ONE, PolyT, ZERO, format_rational, irreducible_factors, poly_xgcd
-
-# matrices up to this many minors use the exact minor-gcd locus; larger ones
-# fall back to factoring the fraction-free pivots, verified by rank drop
-MINOR_BUDGET = 4000
+from .scalars import ONE, PolyT, ZERO, format_rational, irreducible_factors, poly_gcd, poly_xgcd
 
 
 @dataclass
@@ -78,7 +80,7 @@ Elimination = tuple[int, list[PolyT]]
 def bareiss(entries: list[list[PolyT]]) -> Elimination:
     """Fraction-free elimination; returns (rank, pivot sequence).
 
-    Pivots are chosen of minimal degree so the pivot product stays small.
+    Pivots are chosen of minimal degree so the entries stay small.
     A cross term with a zero factor is skipped, and an entry that stays zero
     is not divided.
     """
@@ -139,7 +141,12 @@ def det_poly(entries: list[list[PolyT]]) -> PolyT:
 
 
 def minors_gcd(entries: list[list[PolyT]], r: int) -> PolyT:
-    """Monic gcd of all r x r minors; ONE when r = 0."""
+    """Monic gcd of all r x r minors; ONE when r = 0.
+
+    The reference definition of a matrix's special locus (with r its generic
+    rank): it eliminates every minor on its own, so nothing in the program
+    calls it; tests compare ``special_locus_for_matrix`` against it.
+    """
     if r == 0:
         return ONE
     nrows, ncols = len(entries), len(entries[0])
@@ -150,16 +157,10 @@ def minors_gcd(entries: list[list[PolyT]], r: int) -> PolyT:
             det = det_poly(sub)
             if det.is_zero():
                 continue
-            g = det.monic() if g.is_zero() else _poly_gcd(g, det)
+            g = det.monic() if g.is_zero() else poly_gcd(g, det)
             if g == ONE:
                 return g
     return g
-
-
-def _poly_gcd(a: PolyT, b: PolyT) -> PolyT:
-    from .scalars import poly_gcd
-
-    return poly_gcd(a, b)
 
 
 class FactorSplit(Exception):
@@ -210,43 +211,25 @@ def rank_modulo(M: Union[BoundaryMatrix, list], p: PolyT) -> int:
     return rank
 
 
-def special_locus_for_matrix(
-    entries: list[list[PolyT]], elimination: Optional[Elimination] = None, method: str = "auto"
-) -> list[PolyT]:
-    """Monic irreducible conditions where this matrix's rank drops.
+def special_locus_for_matrix(entries: list[list[PolyT]], elimination: Optional[Elimination] = None) -> list[PolyT]:
+    """Monic squarefree conditions where this matrix's rank drops.
 
     ``elimination`` is the matrix's ``bareiss`` result when the caller has
-    it; otherwise the matrix is eliminated here, once.
+    it; otherwise the matrix is eliminated here, once.  By Sylvester's
+    identity the last fraction-free pivot is a nonzero r x r minor, so the
+    gcd of all r x r minors divides it: every rank-drop condition is among
+    its factors.  A factor is kept only if the exact rank really drops
+    there; a factor that splits during that check is refined and retried.
     """
     if not entries or not entries[0]:
         return []
     rank, pivots = elimination if elimination is not None else bareiss(entries)
-    if rank == 0:
+    if rank == 0 or pivots[-1].degree < 1:
         return []
-    nrows, ncols = len(entries), len(entries[0])
-    n_minors = _comb(nrows, rank) * _comb(ncols, rank)
-    if method == "auto":
-        method = "minors" if n_minors <= MINOR_BUDGET else "pivots"
-    if method == "minors":
-        g = minors_gcd(entries, rank)
-        return sorted(irreducible_factors(g), key=_poly_sort_key) if g.degree >= 1 else []
-    if method != "pivots":
-        raise ValueError(f"unknown locus method {method!r}")
-    product = ONE
-    for piv in pivots:
-        product = product * piv
-    if product.degree < 1:
-        return []
-    # pivot products can carry spurious factors; keep only verified rank drops
-    candidates = irreducible_factors(product)
+    candidates = irreducible_factors(pivots[-1])
     verified = []
-    seen = set()
-    while candidates:
+    while candidates:  # pairwise coprime, and so are the parts of a split
         factor = candidates.pop(0)
-        key = tuple(factor.coeffs)
-        if key in seen:
-            continue
-        seen.add(key)
         if factor.degree == 1:
             drop = rank_at_rational(entries, -factor.coeffs[0]) < rank
         else:
@@ -259,12 +242,6 @@ def special_locus_for_matrix(
         if drop:
             verified.append(factor)
     return sorted(verified, key=_poly_sort_key)
-
-
-def _comb(n: int, k: int) -> int:
-    from math import comb
-
-    return comb(n, k)
 
 
 def _poly_sort_key(p: PolyT):
@@ -283,13 +260,30 @@ def _ranks_and_locus(matrices: list[BoundaryMatrix]) -> tuple[list[int], list[Po
     """Generic ranks and the union of rank-drop conditions, one elimination
     per matrix; each elimination is dropped once its locus is known."""
     ranks = []
-    locus = {}
+    locus: list[PolyT] = []
     for M in matrices:
         elimination = bareiss(M.entries) if M.rows and M.cols else (0, [])
         ranks.append(elimination[0])
         for factor in special_locus_for_matrix(M.entries, elimination):
-            locus[tuple(factor.coeffs)] = factor
-    return ranks, sorted(locus.values(), key=_poly_sort_key)
+            _add_coprime(locus, factor)
+    return ranks, sorted(locus, key=_poly_sort_key)
+
+
+def _add_coprime(conditions: list[PolyT], p: PolyT):
+    """Add the monic squarefree p to pairwise coprime monic conditions,
+    splitting off a shared factor so that they stay pairwise coprime (two
+    matrices may report a reducible condition and one of its factors)."""
+    pending = [p]
+    while pending:
+        p = pending.pop()
+        for i, q in enumerate(conditions):
+            g = poly_gcd(p, q)
+            if g.degree >= 1:
+                del conditions[i]
+                pending += [f for f in (g, p.exact_div(g), q.exact_div(g)) if f.degree >= 1]
+                break
+        else:
+            conditions.append(p)
 
 
 def special_locus(system: ChainComplexSystem, w: int, max_degree: Optional[int] = None) -> list[PolyT]:

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: rationals, polynomials in t, and their fraction field.
+"""Exact scalar arithmetic: rationals, polynomials in t, gcds and factoring.
 
 Everything downstream (brackets, boundary matrices, Betti numbers) depends on
 exact vanishing of polynomial coefficients such as 2+3t, so there is no
@@ -88,6 +88,14 @@ class PolyT:
     def __hash__(self):
         return hash(self.coeffs)
 
+    @classmethod
+    def _trim(cls, coeffs: list) -> "PolyT":
+        """A polynomial from a list of Fractions, dropping trailing zeros
+        (which cancellation can leave) but coercing nothing."""
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        return cls._wrap(tuple(coeffs))
+
     def __add__(self, other) -> "PolyT":
         other = _as_poly(other)
         if other is None:
@@ -98,18 +106,22 @@ class PolyT:
         out = list(a)
         for k, c in enumerate(b):
             out[k] += c
-        return PolyT(out)
+        return PolyT._trim(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PolyT":
-        return PolyT(tuple(-c for c in self.coeffs))
+        return PolyT._wrap(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other) -> "PolyT":
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [Fraction(0)] * (len(b) - len(a))
+        for k, c in enumerate(b):
+            out[k] -= c
+        return PolyT._trim(out)
 
     def __rsub__(self, other):
         other = _as_poly(other)
@@ -166,7 +178,8 @@ class PolyT:
                 quo[k] = c
                 for j, oj in enumerate(other.coeffs):
                     rem[k + j] -= c * oj
-        return PolyT(quo), PolyT(rem)
+        # quo[dq] is self's leading coefficient over other's, so nonzero
+        return PolyT._wrap(tuple(quo)), PolyT._trim(rem)
 
     def __floordiv__(self, other) -> "PolyT":
         return divmod(self, other)[0]
@@ -267,11 +280,6 @@ def poly_xgcd(p: PolyT, q: PolyT):
     return a.monic(), scale * ua, scale * va
 
 
-def eval_at(p: PolyT, t0) -> Fraction:
-    """Exact evaluation of p at a rational point."""
-    return p(t0)
-
-
 def _divisors(n: int) -> list[int]:
     n = abs(n)
     small, large = [], []
@@ -355,112 +363,3 @@ def irreducible_factors(p: PolyT) -> list[PolyT]:
         factors.append(work.monic())
     factors.sort(key=lambda f: (f.degree, f.coeffs))
     return factors
-
-
-class RatFuncT:
-    """Element of the fraction field Q(t), reduced with a monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=ONE):
-        num = _as_poly(num)
-        den = _as_poly(den)
-        if num is None or den is None:
-            raise TypeError("RatFuncT expects polynomial or rational arguments")
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator in Q(t)")
-        if num.is_zero():
-            num, den = ZERO, ONE
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num.exact_div(g), den.exact_div(g)
-            lead = den.leading
-            if lead != 1:
-                scale = PolyT.const(1 / lead)
-                num, den = scale * num, scale * den
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFuncT is immutable")
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
-    def __eq__(self, other) -> bool:
-        other = _as_ratfunc(other)
-        if other is None:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other):
-        other = _as_ratfunc(other)
-        if other is None:
-            return NotImplemented
-        return RatFuncT(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFuncT(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = _as_ratfunc(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_ratfunc(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = _as_ratfunc(other)
-        if other is None:
-            return NotImplemented
-        return RatFuncT(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_ratfunc(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero in Q(t)")
-        return RatFuncT(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = _as_ratfunc(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def inverse(self) -> "RatFuncT":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in Q(t)")
-        return RatFuncT(self.den, self.num)
-
-    def __str__(self) -> str:
-        if self.den == ONE:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    def __repr__(self) -> str:
-        return f"RatFuncT({self})"
-
-
-def _as_ratfunc(x):
-    if isinstance(x, RatFuncT):
-        return x
-    p = _as_poly(x)
-    return None if p is None else RatFuncT(p)

@@ -2,13 +2,17 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from supdeform.brackets import DeformationSpec
 from supdeform.chains import ChainComplexSystem, ChainElement, normalize, word_weight
+from supdeform.config import load_config
 from supdeform.liealg import OneForm, heisenberg3, solvable2
-from supdeform.scalars import poly
+from supdeform.scalars import ZERO, poly
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 ALG2 = solvable2()
@@ -187,6 +191,54 @@ def _all_odd_boundary(system, word):
                 s2, canon = norm
                 out = out + ChainElement.of_word(canon, coeff if s2 > 0 else -coeff)
     return out
+
+
+def _pairwise_boundary(system, word):
+    """Reference: the boundary formula with one ChainElement per (i, j) pair,
+    summed pair by pair."""
+    m = len(word)
+    acc = ChainElement.zero()
+    for i in range(m):
+        par_i = word[i].parity
+        for j in range(i + 1, m):
+            values = system.bracket_generators(word[i], word[j])
+            if not values:
+                continue
+            between = sum(word[s].parity for s in range(i + 1, j)) if par_i else 0
+            sgn = -1 if (i + between) % 2 else 1
+            prefix = word[:i] + word[i + 1 : j]
+            suffix = word[j + 1 :]
+            terms = {}
+            for gen, coeff in values:
+                norm = normalize(prefix + (gen,) + suffix)
+                if norm is None:
+                    continue
+                s2, canon = norm
+                prev = terms.get(canon, ZERO) + (coeff if sgn * s2 > 0 else -coeff)
+                if prev.is_zero():
+                    terms.pop(canon, None)
+                else:
+                    terms[canon] = prev
+            acc = acc + ChainElement(terms)
+    return acc
+
+
+@pytest.mark.parametrize(
+    "config_path, weights",
+    [("bench/configs/aff1-aff1-g0prime.cfg", [-4]), ("configs/heisenberg-closed.cfg", None)],
+)
+def test_boundary_word_matches_pairwise_sum(config_path, weights):
+    config = load_config(str(ROOT / config_path))
+    system = ChainComplexSystem(config.deformation, config.extension)
+    words = 0
+    for w in weights or config.weights:
+        for m in range(1, system.max_length(w) + 1):
+            for word in system.enumerate_basis(m, w):
+                image = system.boundary_word(word)
+                assert image == _pairwise_boundary(system, word)
+                assert all(not c.is_zero() for c in image.terms.values())
+                words += 1
+    assert words > 0
 
 
 class TestBoundarySpecializations:

@@ -3,6 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from supdeform.config import load_config
 from supdeform.homology import (
     BoundaryMatrix,
     _check_complex,
+    _ranks_and_locus,
     bareiss,
     betti_piecewise,
     boundary_matrix,
@@ -29,7 +31,7 @@ from supdeform.homology import (
     special_locus_for_matrix,
 )
 from supdeform.liealg import OneForm, solvable2
-from supdeform.scalars import ONE, PolyT, T, ZERO, poly
+from supdeform.scalars import ONE, PolyT, T, ZERO, irreducible_factors, poly, poly_gcd
 
 AFF_G0P = str(Path(__file__).resolve().parent.parent / "bench" / "configs" / "aff1-aff1-g0prime.cfg")
 
@@ -114,6 +116,12 @@ def test_special_locus_undeformed():
     assert special_locus(system, -3) == []
 
 
+def _minors_locus(entries):
+    """Reference locus: the factors of the gcd of the maximal nonzero minors."""
+    g = minors_gcd(entries, generic_rank(entries))
+    return sorted(irreducible_factors(g), key=lambda p: (p.degree, p.coeffs)) if g.degree >= 1 else []
+
+
 def test_locus_paths_agree_on_paper_matrices(sys_std, sys_ext):
     for system, weights in ((sys_std, [-3]), (sys_ext, [-3, -2, -4])):
         for w in weights:
@@ -121,9 +129,7 @@ def test_locus_paths_agree_on_paper_matrices(sys_std, sys_ext):
                 M = boundary_matrix(system, m, w)
                 if not M.entries or not M.entries[0]:
                     continue
-                minors_path = special_locus_for_matrix(M.entries, method="minors")
-                pivots_path = special_locus_for_matrix(M.entries, method="pivots")
-                assert minors_path == pivots_path
+                assert special_locus_for_matrix(M.entries) == _minors_locus(M.entries)
 
 
 def test_rank_specializations(sys_std):
@@ -251,6 +257,7 @@ def test_minors_gcd_values(sys_ext):
     g = minors_gcd(M3.entries, generic_rank(M3))
     # t(t + 2/3) up to monic normalization
     assert g == (T * poly(Fraction(2, 3), 1)).monic()
+    assert special_locus_for_matrix(M3.entries) == [T, poly(Fraction(2, 3), 1)]
 
 
 def test_proper_extension_subalgebra_complex():
@@ -348,6 +355,60 @@ def test_zero_aware_bareiss_matches_dense_reference(entries):
     assert entries == before
 
 
+def _product(conditions):
+    out = ONE
+    for p in conditions:
+        out = out * p
+    return out
+
+
+@st.composite
+def _locus_matrices(draw):
+    """At most 4 x 4, entries of degree <= 2 and often zero; the last row is
+    sometimes a rational combination of earlier rows."""
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    density = draw(st.sampled_from([0.4, 0.7, 1.0]))
+    rows = [
+        [draw(_small_polys) if draw(st.floats(0, 1)) < density else ZERO for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    if nrows >= 2 and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[-2])]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_locus_matrices())
+def test_verified_pivot_locus_matches_minors_reference(entries):
+    """Same linear conditions and the same product of the others: a
+    reducible minor gcd may come back split into its factors."""
+    locus, reference = special_locus_for_matrix(entries), _minors_locus(entries)
+    assert [p for p in locus if p.degree == 1] == [p for p in reference if p.degree == 1]
+    assert _product(p for p in locus if p.degree > 1) == _product(p for p in reference if p.degree > 1)
+    for p in locus:
+        assert p == p.monic() and poly_gcd(p, p.derivative()) == ONE
+    for p, q in combinations(locus, 2):
+        assert poly_gcd(p, q) == ONE
+
+
+def test_verified_pivot_locus_splits_reducible_quartic():
+    a, b = poly(Fraction(1, 2), 0, 1), poly(Fraction(2, 3), 0, 1)
+    entries = [[a, ZERO], [ZERO, b]]
+    assert _minors_locus(entries) == [a * b]
+    assert special_locus_for_matrix(entries) == [a, b]
+
+
+def test_locus_union_stays_pairwise_coprime():
+    """One matrix reports a reducible quartic whole, another one of its
+    factors; the union splits the shared factor off."""
+    a, b = poly(Fraction(1, 2), 0, 1), poly(Fraction(2, 3), 0, 1)
+    whole = BoundaryMatrix(2, 0, ["u"], ["v"], [[a * b]])
+    part = BoundaryMatrix(3, 0, ["v"], ["x"], [[a]])
+    assert special_locus_for_matrix(whole.entries) == [a * b]
+    assert _ranks_and_locus([whole, part]) == ([1, 1], [a, b])
+
+
 def test_betti_piecewise_eliminates_each_matrix_once(monkeypatch):
     config = load_config(AFF_G0P)
     system = ChainComplexSystem(config.deformation, config.extension)
@@ -367,9 +428,9 @@ def test_betti_piecewise_eliminates_each_matrix_once(monkeypatch):
     report = betti_piecewise(system, -4)
     matrices = [boundary_matrix(system, m, -4) for m in report.degrees]
     assert all(M.cols for M in matrices)
-    # the minors path runs on one small matrix; det_poly eliminates each minor
-    assert calls["det_poly"] > 0
-    assert calls["bareiss"] == sum(1 for M in matrices if M.rows) + calls["det_poly"]
+    # the locus factors each elimination's last pivot; no minor is formed
+    assert calls["det_poly"] == 0
+    assert calls["bareiss"] == sum(1 for M in matrices if M.rows)
     assert [str(p) for p in report.locus] == ["t"]
     assert report.generic_betti == [0, 0, 3, 6, 3, 0, 0, 0]
     assert [(case.label(), case.betti) for case in report.special] == [("t = 0", [0, 0, 4, 9, 6, 1, 0, 0])]
@@ -378,13 +439,13 @@ def test_betti_piecewise_eliminates_each_matrix_once(monkeypatch):
 def test_special_locus_for_matrix_reuses_given_elimination(sys_ext, monkeypatch):
     M = boundary_matrix(sys_ext, 3, -3)
     elimination = bareiss(M.entries)
-    expected = special_locus_for_matrix(M.entries, method="pivots")
+    expected = special_locus_for_matrix(M.entries)
 
     def no_elimination(_entries):
         raise AssertionError("eliminated again")
 
     monkeypatch.setattr(homology, "bareiss", no_elimination)
-    assert special_locus_for_matrix(M.entries, elimination, method="pivots") == expected
+    assert special_locus_for_matrix(M.entries, elimination) == expected
     assert [str(p) for p in expected] == ["t", "2/3 + t"]
 
 

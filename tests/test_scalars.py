@@ -1,4 +1,4 @@
-"""Exact arithmetic: polynomial gcd, rational roots, evaluation, field axioms."""
+"""Exact arithmetic: polynomial ring operations, gcd, rational roots, evaluation."""
 
 from fractions import Fraction
 
@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from supdeform.scalars import (
     ONE,
     PolyT,
-    RatFuncT,
     T,
     ZERO,
-    eval_at,
     irreducible_factors,
     poly,
     poly_gcd,
@@ -56,9 +54,9 @@ def test_rational_roots_zero_rejected():
 
 def test_eval_examples():
     p = poly(1, Fraction(3, 2))
-    assert eval_at(p, 0) == 1
-    assert eval_at(p, Fraction(-2, 3)) == 0
-    assert eval_at(T, 5) == 5
+    assert p(0) == 1
+    assert p(Fraction(-2, 3)) == 0
+    assert T(5) == 5
 
 
 small_fractions = st.fractions(
@@ -89,39 +87,8 @@ def test_xgcd_certificate(p, q):
 
 @given(polys(), polys(), small_fractions)
 def test_eval_is_ring_homomorphism(p, q, t0):
-    assert eval_at(p * q, t0) == eval_at(p, t0) * eval_at(q, t0)
-    assert eval_at(p + q, t0) == eval_at(p, t0) + eval_at(q, t0)
-
-
-def ratfuncs():
-    return st.tuples(polys(2), polys(2).filter(lambda d: not d.is_zero())).map(
-        lambda pair: RatFuncT(pair[0], pair[1])
-    )
-
-
-@settings(max_examples=60)
-@given(ratfuncs(), ratfuncs(), ratfuncs())
-def test_field_axioms(x, y, z):
-    assert (x + y) + z == x + (y + z)
-    assert (x * y) * z == x * (y * z)
-    assert x * (y + z) == x * y + x * z
-    assert x + y == y + x
-    assert x * y == y * x
-
-
-@settings(max_examples=60)
-@given(ratfuncs())
-def test_field_inverses(x):
-    if not x.is_zero():
-        assert x * x.inverse() == RatFuncT(ONE)
-    assert x + (-x) == RatFuncT(ZERO)
-
-
-def test_ratfunc_reduction_invariants():
-    f = RatFuncT(T * poly(2, 3), poly(0, 2, 3))  # t(2+3t) / t(2+3t) reduced
-    assert f == RatFuncT(ONE)
-    g = RatFuncT(poly(1), poly(2))  # denominator made monic
-    assert g.den == ONE and g.num == poly(Fraction(1, 2))
+    assert (p * q)(t0) == p(t0) * q(t0)
+    assert (p + q)(t0) == p(t0) + q(t0)
 
 
 def test_squarefree_and_factors():
@@ -176,3 +143,49 @@ def test_divmod_identity_including_unit_divisors(p, d):
     assert all(type(c) is Fraction for c in q.coeffs + r.coeffs)
     if d.degree == 0:
         assert r.is_zero() and p.exact_div(d) == q
+
+
+def _plain_sum(p: PolyT, q: PolyT, sign: int) -> PolyT:
+    """p + sign * q on zero-padded coefficient lists, normalized by PolyT."""
+    n = max(len(p.coeffs), len(q.coeffs))
+    a = list(p.coeffs) + [Fraction(0)] * (n - len(p.coeffs))
+    b = list(q.coeffs) + [Fraction(0)] * (n - len(q.coeffs))
+    return PolyT([x + sign * y for x, y in zip(a, b)])
+
+
+def _plain_divmod(p: PolyT, d: PolyT) -> tuple[PolyT, PolyT]:
+    """Schoolbook long division on coefficient lists, normalized by PolyT."""
+    rem, n = list(p.coeffs), len(d.coeffs) - 1
+    quo = [Fraction(0)] * max(len(rem) - n, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        quo[k] = rem[k + n] / d.coeffs[n]
+        for j, dj in enumerate(d.coeffs):
+            rem[k + j] -= quo[k] * dj
+    return PolyT(quo), PolyT(rem)
+
+
+def _normalized(p: PolyT) -> bool:
+    """As PolyT.__init__ would leave it: Fractions, no trailing zero."""
+    return all(type(c) is Fraction for c in p.coeffs) and (not p.coeffs or p.coeffs[-1] != 0)
+
+
+@given(factors, factors)
+def test_sums_match_coefficient_lists(p, q):
+    for result, expected in (
+        (p + q, _plain_sum(p, q, 1)),
+        (q + p, _plain_sum(p, q, 1)),
+        (p - q, _plain_sum(p, q, -1)),
+        (-p, _plain_sum(ZERO, p, -1)),
+        (p - p, ZERO),
+        (p + (-p), ZERO),
+    ):
+        assert result == expected and _normalized(result)
+    assert p + 1 == _plain_sum(p, ONE, 1) == 1 + p
+    assert p - 1 == _plain_sum(p, ONE, -1) == -(1 - p)
+
+
+@given(polys(), factors.filter(bool))
+def test_divmod_matches_long_division(p, d):
+    q, r = divmod(p, d)
+    assert (q, r) == _plain_divmod(p, d)
+    assert _normalized(q) and _normalized(r)
