@@ -169,18 +169,6 @@ def form_bracket(spec: DeformationSpec, alpha: GradedElement, beta: GradedElemen
     return result
 
 
-def trivial_deformed(alpha: GradedElement, beta: GradedElement, spec: DeformationSpec) -> GradedElement:
-    if spec.kind is not DeformationKind.TRIVIAL:
-        raise ValueError("spec is not a trivial deformation")
-    return form_bracket(spec, alpha, beta)
-
-
-def standard_deformed(alpha: GradedElement, beta: GradedElement, spec: DeformationSpec) -> GradedElement:
-    if spec.kind is not DeformationKind.STANDARD:
-        raise ValueError("spec is not a standard deformation")
-    return form_bracket(spec, alpha, beta)
-
-
 def deformed_schouten(
     spec: LieAlgebraSpec, P: GradedElement, Q: GradedElement, phi: OneForm
 ) -> GradedElement:

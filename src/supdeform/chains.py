@@ -369,25 +369,6 @@ class ChainComplexSystem:
                     out = out + ChainElement.of_word(canon, coeff if sgn * s2 > 0 else -coeff)
         return out
 
-    def render(self, element: ChainElement) -> str:
-        if element.is_zero():
-            return "0"
-        parts = []
-        for word in sorted(element.terms, key=lambda w: tuple(g.sort_key() for g in w)):
-            c = element.terms[word]
-            cs = str(c)
-            label = self.word_label(word)
-            if cs == "1":
-                parts.append(label)
-            elif cs == "-1":
-                parts.append(f"-{label}")
-            else:
-                parts.append(f"({cs})*{label}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
-
 
 def _increasing_tuples(n: int, deg: int):
     return combinations(range(1, n + 1), deg)

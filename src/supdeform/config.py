@@ -126,7 +126,7 @@ def load_config(path: str) -> RunConfig:
             key = key.strip()
             if key != "coeffs":
                 _fail(lineno, f"unknown key {key!r} in [phi]")
-            phi_coeffs = [(lineno, tok) for tok in value.split()]
+            phi_coeffs = (lineno, value.split())
         elif section == "deformation":
             m = _FTABLE_RE.match(line)
             if m:
@@ -214,9 +214,10 @@ def load_config(path: str) -> RunConfig:
     if phi_coeffs is None:
         phi = OneForm.zero(dim)
     else:
-        if len(phi_coeffs) != dim:
-            _fail(phi_coeffs[0][0], f"phi needs exactly {dim} coefficients")
-        phi = OneForm.make([_parse_rat(ln, tok) for ln, tok in phi_coeffs])
+        phi_line, tokens = phi_coeffs
+        if len(tokens) != dim:
+            _fail(phi_line, f"phi needs exactly {dim} coefficients")
+        phi = OneForm.make([_parse_rat(phi_line, tok) for tok in tokens])
 
     if kind is None:
         raise ConfigError("missing key: [deformation] kind")

@@ -1,22 +1,24 @@
 """Boundary matrices over Q[t], parametric ranks, and piecewise Betti numbers.
 
 Each boundary matrix is eliminated once, fraction-free (Bareiss) over Q[t],
-skipping work on zero entries; the resulting rank and pivots serve both the
-generic rank and the special locus.  The special locus of a weight-w complex
-is the set of monic polynomial conditions where some boundary rank drops.
-For every matrix it comes from one verified pivot: the last fraction-free
-pivot is a nonzero maximal minor (Sylvester's identity), so each rank-drop
-condition divides it; each of its factors is kept only if the exact rank
-really drops there.  At a rational root ranks are recomputed by exact
-substitution, at an irrational condition p over the quotient ring Q[t]/(p).
-If a supposedly irreducible p splits during an inversion, the condition is
-refined and recomputed (this cannot happen for conditions of degree <= 3,
-which are certified by the factoring routine).  The union over the matrices
-splits conditions on any shared factor, so the conditions are pairwise
-coprime and squarefree, with constant ranks on each one's zero set.  The gcd
-of all maximal minors (``minors_gcd``) defines a matrix's locus; it forms
-every minor, so it serves only as the reference the tests compare against.
-d.d = 0 is checked exactly on the column nonzeros.
+skipping work on zero entries; its rank is the generic rank, and its last
+pivot, a nonzero maximal minor (Sylvester's identity), is kept for the
+special locus.  Every condition where some rank drops divides some last
+pivot, so the candidates are the factors of the last pivots, made pairwise
+coprime by splitting off shared factors.  One pass (``_special_ranks``)
+computes the exact ranks on each candidate: by exact substitution at a
+rational root, over the quotient ring Q[t]/(p) otherwise, and only for the
+matrices whose last pivot shares a factor with the candidate; every other
+matrix keeps its generic rank there.  A candidate is special exactly when
+some rank drops, and those ranks are the ones the Betti report prints, so
+the report's locus is the list of its special conditions.  If a supposedly
+irreducible p splits during an inversion, its pieces replace it (this cannot
+happen for conditions of degree <= 3, which are certified by the factoring
+routine).  The conditions are monic, squarefree and pairwise coprime, with
+constant ranks on each one's zero set.  The gcd of all maximal minors
+(``minors_gcd``) defines a matrix's locus; it forms every minor, so it
+serves only as the reference the tests compare against.  d.d = 0 is checked
+exactly on the column nonzeros.
 """
 
 from __future__ import annotations
@@ -215,33 +217,53 @@ def special_locus_for_matrix(entries: list[list[PolyT]], elimination: Optional[E
     """Monic squarefree conditions where this matrix's rank drops.
 
     ``elimination`` is the matrix's ``bareiss`` result when the caller has
-    it; otherwise the matrix is eliminated here, once.  By Sylvester's
-    identity the last fraction-free pivot is a nonzero r x r minor, so the
-    gcd of all r x r minors divides it: every rank-drop condition is among
-    its factors.  A factor is kept only if the exact rank really drops
-    there; a factor that splits during that check is refined and retried.
+    it; otherwise the matrix is eliminated here, once.  This is the
+    one-matrix case of ``_special_ranks``.
     """
-    if not entries or not entries[0]:
-        return []
     rank, pivots = elimination if elimination is not None else bareiss(entries)
-    if rank == 0 or pivots[-1].degree < 1:
-        return []
-    candidates = irreducible_factors(pivots[-1])
-    verified = []
-    while candidates:  # pairwise coprime, and so are the parts of a split
-        factor = candidates.pop(0)
-        if factor.degree == 1:
-            drop = rank_at_rational(entries, -factor.coeffs[0]) < rank
-        else:
-            try:
-                drop = rank_modulo(entries, factor) < rank
-            except FactorSplit as split:
-                candidates.extend(irreducible_factors(split.factor))
-                candidates.extend(irreducible_factors(factor.exact_div(split.factor)))
-                continue
-        if drop:
-            verified.append(factor)
-    return sorted(verified, key=_poly_sort_key)
+    return [cond for cond, _ in _special_ranks([entries], [rank], [pivots[-1] if rank else ONE])]
+
+
+def _special_ranks(
+    matrices: list[list[list[PolyT]]], generic: list[int], last_pivots: list[PolyT]
+) -> list[tuple[PolyT, list[int]]]:
+    """Each condition where some rank leaves its generic value, with the
+    ranks of all matrices there, sorted.
+
+    The candidates are the factors of the last pivots, joined by
+    ``_add_coprime``.  A last pivot is a nonzero maximal minor (Sylvester's
+    identity), so it is nonzero at every root of a coprime candidate: such a
+    matrix keeps its generic rank there and is not eliminated.  A candidate
+    that splits while a rank is computed is replaced by its pieces (dynamic
+    evaluation); this is the only place a split is caught.
+    """
+    candidates: list[PolyT] = []
+    for pivot in last_pivots:
+        if pivot.degree >= 1:
+            for factor in irreducible_factors(pivot):
+                _add_coprime(candidates, factor)
+    special = []
+    while candidates:
+        cond = candidates.pop()
+        try:
+            ranks = [
+                _rank_at(entries, cond) if poly_gcd(cond, pivot).degree >= 1 else rank
+                for entries, rank, pivot in zip(matrices, generic, last_pivots)
+            ]
+        except FactorSplit as split:
+            for piece in irreducible_factors(split.factor) + irreducible_factors(cond.exact_div(split.factor)):
+                _add_coprime(candidates, piece)
+            continue
+        if ranks != generic:  # a rank can only fall; betti_piecewise checks that
+            special.append((cond, ranks))
+    return sorted(special, key=lambda case: _poly_sort_key(case[0]))
+
+
+def _rank_at(entries: list[list[PolyT]], cond: PolyT) -> int:
+    """Exact rank on the zero set of the monic condition cond."""
+    if cond.degree == 1:
+        return rank_at_rational(entries, -cond.coeffs[0])
+    return rank_modulo(entries, cond)
 
 
 def _poly_sort_key(p: PolyT):
@@ -256,17 +278,15 @@ def _boundary_matrices(system: ChainComplexSystem, w: int, max_degree: Optional[
     return [boundary_matrix(system, m, w) for m in range(1, bound + 1)]
 
 
-def _ranks_and_locus(matrices: list[BoundaryMatrix]) -> tuple[list[int], list[PolyT]]:
-    """Generic ranks and the union of rank-drop conditions, one elimination
-    per matrix; each elimination is dropped once its locus is known."""
-    ranks = []
-    locus: list[PolyT] = []
+def _ranks_and_locus(matrices: list[BoundaryMatrix]) -> tuple[list[int], list[tuple[PolyT, list[int]]]]:
+    """Generic ranks, and ``_special_ranks`` of the matrices, from one
+    elimination per matrix; only its rank and last pivot are kept."""
+    ranks, last_pivots = [], []
     for M in matrices:
-        elimination = bareiss(M.entries) if M.rows and M.cols else (0, [])
-        ranks.append(elimination[0])
-        for factor in special_locus_for_matrix(M.entries, elimination):
-            _add_coprime(locus, factor)
-    return ranks, sorted(locus, key=_poly_sort_key)
+        rank, pivots = bareiss(M.entries) if M.rows and M.cols else (0, [])
+        ranks.append(rank)
+        last_pivots.append(pivots[-1] if rank else ONE)
+    return ranks, _special_ranks([M.entries for M in matrices], ranks, last_pivots)
 
 
 def _add_coprime(conditions: list[PolyT], p: PolyT):
@@ -287,8 +307,8 @@ def _add_coprime(conditions: list[PolyT], p: PolyT):
 
 
 def special_locus(system: ChainComplexSystem, w: int, max_degree: Optional[int] = None) -> list[PolyT]:
-    """Union over m of each boundary matrix's rank-drop conditions."""
-    return _ranks_and_locus(_boundary_matrices(system, w, max_degree))[1]
+    """The conditions where some boundary rank of the weight-w complex drops."""
+    return [cond for cond, _ in _ranks_and_locus(_boundary_matrices(system, w, max_degree))[1]]
 
 
 @dataclass
@@ -380,35 +400,19 @@ def betti_piecewise(system: ChainComplexSystem, w: int, max_degree: Optional[int
     dims = [len(M.cols) for M in matrices]
     _check_complex(matrices)
 
-    gen_ranks, locus = _ranks_and_locus(matrices)
+    gen_ranks, special_ranks = _ranks_and_locus(matrices)
     gen_kernels, gen_betti = _betti_from_ranks(dims, gen_ranks)
     _check_euler(dims, gen_betti, f"generic, weight {w}")
 
     special = []
-    queue = list(locus)
-    while queue:
-        cond = queue.pop(0)
-        try:
-            if cond.degree == 1:
-                point = -cond.coeffs[0]  # monic t - point
-                ranks = [rank_at_rational(M, point) for M in matrices]
-            else:
-                point = None
-                ranks = [rank_modulo(M, cond) for M in matrices]
-        except FactorSplit as split:
-            for piece in irreducible_factors(split.factor) + irreducible_factors(cond.exact_div(split.factor)):
-                if all(tuple(piece.coeffs) != tuple(q.coeffs) for q in queue):
-                    queue.append(piece)
-            queue.sort(key=_poly_sort_key)
-            continue
-        for r, g in zip(ranks, gen_ranks):
-            if r > g:
-                raise RuntimeError("specialized rank exceeds generic rank")
+    for cond, ranks in special_ranks:
+        if any(r > g for r, g in zip(ranks, gen_ranks)):
+            raise RuntimeError("specialized rank exceeds generic rank")
         kernels, betti = _betti_from_ranks(dims, ranks)
         _check_euler(dims, betti, f"{cond} = 0, weight {w}")
+        point = -cond.coeffs[0] if cond.degree == 1 else None  # monic t - point
         special.append(SpecialCase(cond, point, ranks, kernels, betti))
-
-    special.sort(key=lambda case: _poly_sort_key(case.condition))
+    locus = [case.condition for case in special]
     return BettiReport(w, degrees, dims, gen_ranks, gen_kernels, gen_betti, locus, special)
 
 

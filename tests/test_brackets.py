@@ -16,8 +16,6 @@ from supdeform.brackets import (
     form_bracket,
     solve_g0_doubleprime,
     solve_g0_prime,
-    standard_deformed,
-    trivial_deformed,
 )
 from supdeform.exterior import (
     FORM,
@@ -55,9 +53,9 @@ class TestTrivialDeformed:
     def test_paper_value(self):
         spec = DeformationSpec.trivial(ALG2, Z2, FSpec.from_table({(a, b): 1 for a in range(2) for b in range(2)}))
         # [z1, 1] = c1 * t * z1^z2 with c1 = F(1,0) = 1
-        assert trivial_deformed(mono(FORM, 2, 1), ONE_FORM, spec) == mono(FORM, 2, 1, 2).scale(T)
+        assert form_bracket(spec, mono(FORM, 2, 1), ONE_FORM) == mono(FORM, 2, 1, 2).scale(T)
         # [z2, 1] has a repeated z2 factor
-        assert trivial_deformed(mono(FORM, 2, 2), ONE_FORM, spec).is_zero()
+        assert form_bracket(spec, mono(FORM, 2, 2), ONE_FORM).is_zero()
 
     def test_double_bracket_vanishes(self):
         spec = DeformationSpec.trivial(ALG2, Z2, FSpec.kappa_family(Fraction(1, 2)))
@@ -99,23 +97,23 @@ class TestTrivialDeformed:
         # the trivial deformation does not require a closed phi
         spec = DeformationSpec.trivial(ALG2, Z1, FSpec.const(1))
         assert not spec.phi_closed
-        assert trivial_deformed(ONE_FORM, ONE_FORM, spec) == mono(FORM, 2, 1).scale(T)
+        assert form_bracket(spec, ONE_FORM, ONE_FORM) == mono(FORM, 2, 1).scale(T)
 
 
 class TestStandardDeformed:
     def test_paper_values(self):
         spec = DeformationSpec.standard(ALG2, Z2)
-        assert standard_deformed(mono(FORM, 2, 1), ONE_FORM, spec) == mono(FORM, 2, 1, 2).scale(
+        assert form_bracket(spec, mono(FORM, 2, 1), ONE_FORM) == mono(FORM, 2, 1, 2).scale(
             poly(1, Fraction(3, 2))
         )
-        assert standard_deformed(ONE_FORM, ONE_FORM, spec) == mono(FORM, 2, 2).scale(T)
+        assert form_bracket(spec, ONE_FORM, ONE_FORM) == mono(FORM, 2, 2).scale(T)
 
     def test_t_zero_reduces_to_standard_bracket(self):
         spec = DeformationSpec.standard(ALG2, Z2)
         for alpha in form_basis(2):
             for beta in form_basis(2):
                 a = alpha.degree()
-                value = standard_deformed(alpha, beta, spec)
+                value = form_bracket(spec, alpha, beta)
                 at_zero = GradedElement(
                     FORM, 2, {ids: c(0) for ids, c in value.terms.items()}
                 )
@@ -134,12 +132,7 @@ class TestStandardDeformed:
         spec = DeformationSpec.standard(ALG2, Z2)
         mixed = ONE_FORM + mono(FORM, 2, 1)
         with pytest.raises(ValueError):
-            standard_deformed(mixed, ONE_FORM, spec)
-
-    def test_kind_guards(self):
-        spec = DeformationSpec.standard(ALG2, Z2)
-        with pytest.raises(ValueError):
-            trivial_deformed(ONE_FORM, ONE_FORM, spec)
+            form_bracket(spec, mixed, ONE_FORM)
 
 
 # -- independent oracle for the deformed Schouten bracket --------------------

@@ -91,10 +91,14 @@ kind = standard
         with pytest.raises(ConfigError, match=r"line \d+: unknown key 'weightz'"):
             load_config(write(tmp_path, cfg))
 
-    def test_phi_length_mismatch(self, tmp_path):
-        cfg = STANDARD_CFG.replace("coeffs = 0 1", "coeffs = 0 1 2")
-        with pytest.raises(ConfigError, match="exactly 2 coefficients"):
-            load_config(write(tmp_path, cfg))
+    def test_phi_length_mismatch(self, tmp_path, capsys):
+        for coeffs in ("coeffs = 0 1 2", "coeffs ="):
+            path = write(tmp_path, STANDARD_CFG.replace("coeffs = 0 1", coeffs))
+            with pytest.raises(ConfigError, match="^line 7: phi needs exactly 2 coefficients$"):
+                load_config(path)
+        # the empty line used to escape as an IndexError, exit 1 for every command
+        assert main(["betti", "--config", path]) == 2
+        assert "line 7: phi needs exactly 2 coefficients" in capsys.readouterr().err
 
     def test_trivial_requires_F(self, tmp_path):
         cfg = STANDARD_CFG.replace("kind = standard", "kind = trivial")

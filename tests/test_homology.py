@@ -406,13 +406,43 @@ def test_locus_union_stays_pairwise_coprime():
     whole = BoundaryMatrix(2, 0, ["u"], ["v"], [[a * b]])
     part = BoundaryMatrix(3, 0, ["v"], ["x"], [[a]])
     assert special_locus_for_matrix(whole.entries) == [a * b]
-    assert _ranks_and_locus([whole, part]) == ([1, 1], [a, b])
+    assert _ranks_and_locus([whole, part]) == ([1, 1], [(a, [0, 0]), (b, [0, 1])])
+
+
+def test_report_locus_is_its_special_conditions(monkeypatch):
+    """d_2 = [[a*b]] drops rank on a*b; d_4 = [[a], [1]] has last pivot 1, so
+    it keeps its rank there and is never reduced modulo a*b (which would
+    split a*b into a and b for the special cases only)."""
+    a, b = poly(Fraction(1, 2), 0, 1), poly(Fraction(2, 3), 0, 1)
+    matrices = [
+        BoundaryMatrix(1, 0, [], ["u"], []),
+        BoundaryMatrix(2, 0, ["u"], ["v"], [[a * b]]),
+        BoundaryMatrix(3, 0, ["v"], ["x0", "x1"], [[ZERO, ZERO]]),
+        BoundaryMatrix(4, 0, ["x0", "x1"], ["y"], [[a], [ONE]]),
+    ]
+    reduced = []
+    original = homology.rank_modulo
+
+    def recording(M, p):
+        reduced.append(homology._entries(M))
+        return original(M, p)
+
+    monkeypatch.setattr(homology, "rank_modulo", recording)
+    monkeypatch.setattr(homology, "_boundary_matrices", lambda *_args: matrices)
+    report = betti_piecewise(None, 0)
+    assert report.locus == [a * b]
+    assert [case.condition for case in report.special] == report.locus
+    assert report.special[0].ranks == [0, 0, 0, 1]
+    assert reduced and all(entries is not matrices[3].entries for entries in reduced)
+    assert special_locus(None, 0) == [a * b]
 
 
 def test_betti_piecewise_eliminates_each_matrix_once(monkeypatch):
     config = load_config(AFF_G0P)
     system = ChainComplexSystem(config.deformation, config.extension)
     calls = {"bareiss": 0, "det_poly": 0}
+    built = []
+    specialized = []  # (matrix entries, condition) per rank at a condition
 
     def counting(name):
         original = getattr(homology, name)
@@ -423,14 +453,35 @@ def test_betti_piecewise_eliminates_each_matrix_once(monkeypatch):
 
         return wrapper
 
+    def building(system, m, w):
+        built.append(boundary_matrix(system, m, w))
+        return built[-1]
+
+    def at_rational(M, t0):
+        specialized.append((homology._entries(M), poly(-t0, 1)))
+        return rank_at_rational(M, t0)
+
+    def modulo(M, p):
+        specialized.append((homology._entries(M), p))
+        return rank_modulo(M, p)
+
     for name in calls:
         monkeypatch.setattr(homology, name, counting(name))
+    monkeypatch.setattr(homology, "boundary_matrix", building)
+    monkeypatch.setattr(homology, "rank_at_rational", at_rational)
+    monkeypatch.setattr(homology, "rank_modulo", modulo)
     report = betti_piecewise(system, -4)
-    matrices = [boundary_matrix(system, m, -4) for m in report.degrees]
-    assert all(M.cols for M in matrices)
+    assert [M.m for M in built] == report.degrees
+    assert all(M.cols for M in built)
     # the locus factors each elimination's last pivot; no minor is formed
     assert calls["det_poly"] == 0
-    assert calls["bareiss"] == sum(1 for M in matrices if M.rows)
+    assert calls["bareiss"] == sum(1 for M in built if M.rows)
+    # a matrix is specialized only where its last pivot vanishes, once each
+    last_pivots = {id(M.entries): bareiss(M.entries)[1][-1] for M in built if M.rows}
+    assert len(specialized) == 6
+    assert len({(id(entries), tuple(p.coeffs)) for entries, p in specialized}) == len(specialized)
+    for entries, p in specialized:
+        assert poly_gcd(p, last_pivots[id(entries)]).degree >= 1
     assert [str(p) for p in report.locus] == ["t"]
     assert report.generic_betti == [0, 0, 3, 6, 3, 0, 0, 0]
     assert [(case.label(), case.betti) for case in report.special] == [("t = 0", [0, 0, 4, 9, 6, 1, 0, 0])]
