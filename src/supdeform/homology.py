@@ -1,11 +1,14 @@
 """Boundary matrices over Q[t], parametric ranks, and piecewise Betti numbers.
 
-Each boundary matrix is eliminated once, fraction-free (Bareiss) over Q[t],
-skipping work on zero entries; its rank is the generic rank, and its last
-pivot, a nonzero maximal minor (Sylvester's identity), is kept for the
-special locus.  Every condition where some rank drops divides some last
-pivot, so the candidates are the factors of the last pivots, made pairwise
-coprime by splitting off shared factors.  One pass (``_special_ranks``)
+Each boundary matrix is eliminated once, fraction-free (Bareiss), skipping
+work on zero entries.  The elimination runs over Z[t], on integer coefficient
+tuples, after each row is scaled by the lcm of its denominators; dividing the
+pivots by the row scales gives back the pivots of the same elimination over
+Q[t].  Its rank is the generic rank, and its last pivot, a nonzero maximal
+minor (Sylvester's identity), is kept for the special locus.  Every
+condition where some rank drops divides some last pivot, so the candidates
+are the factors of the last pivots, made pairwise coprime by splitting off
+shared factors.  One pass (``_special_ranks``)
 computes the exact ranks on each candidate: by exact substitution at a
 rational root, over the quotient ring Q[t]/(p) otherwise, and only for the
 matrices whose last pivot shares a factor with the candidate; every other
@@ -26,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Optional, Union
 
 from . import qlinalg
@@ -80,52 +84,122 @@ Elimination = tuple[int, list[PolyT]]
 
 
 def bareiss(entries: list[list[PolyT]]) -> Elimination:
-    """Fraction-free elimination; returns (rank, pivot sequence).
+    """Fraction-free elimination; returns (rank, pivot sequence) over Q[t].
 
-    Pivots are chosen of minimal degree so the entries stay small.
-    A cross term with a zero factor is skipped, and an entry that stays zero
-    is not divided.
+    Each row is first scaled by the lcm of its coefficient denominators, and
+    the elimination runs on integer coefficient tuples, over Z[t].  Pivots
+    are chosen of minimal degree so the entries stay small (first such row;
+    a row's scale swaps with it).  A cross term with a zero factor is
+    skipped, and an entry that stays zero is not divided.  The k-th pivot is
+    a k x k minor of the scaled matrix (Sylvester's identity), so dividing it
+    by the scales of the first k pivot rows gives the k-th pivot of the same
+    elimination over Q[t].
     """
-    M = [row[:] for row in entries]
+    M, scales = [], []
+    for row in entries:
+        s = lcm(*(c.denominator for e in row for c in e.coeffs))
+        M.append([tuple(c.numerator * (s // c.denominator) for c in e.coeffs) for e in row])
+        scales.append(s)
     nrows = len(M)
     ncols = len(M[0]) if nrows else 0
     pivots: list[PolyT] = []
-    prev = ONE
+    prev = (1,)
+    scale = 1
     r = 0
     for c in range(ncols):
         if r >= nrows:
             break
         best = None
         for i in range(r, nrows):
-            if M[i][c] and (best is None or M[i][c].degree < M[best][c].degree):
+            if M[i][c] and (best is None or len(M[i][c]) < len(M[best][c])):
                 best = i
         if best is None:
             continue
         M[r], M[best] = M[best], M[r]
+        scales[r], scales[best] = scales[best], scales[r]
         pivot_row = M[r]
         piv = pivot_row[c]
         for i in range(r + 1, nrows):
             row = M[i]
             lead = row[c]
             if lead:
+                neg_lead = tuple(-x for x in lead)
                 for j in range(c + 1, ncols):
                     x, e = row[j], pivot_row[j]
                     if e:
-                        num = piv * x - lead * e if x else -(lead * e)
+                        num = _zsub(_zmul(piv, x), _zmul(lead, e)) if x else _zmul(neg_lead, e)
                     elif x:
-                        num = piv * x
+                        num = _zmul(piv, x)
                     else:
                         continue
-                    row[j] = num.exact_div(prev)
-                row[c] = ZERO
+                    row[j] = _zexact_div(num, prev)
+                row[c] = ()
             else:
                 for j in range(c + 1, ncols):
                     if row[j]:
-                        row[j] = (piv * row[j]).exact_div(prev)
-        pivots.append(piv)
+                        row[j] = _zexact_div(_zmul(piv, row[j]), prev)
+        scale *= scales[r]
+        pivots.append(PolyT._wrap(tuple(Fraction(x, scale) for x in piv)))
         prev = piv
         r += 1
     return len(pivots), pivots
+
+
+def _zmul(a: tuple, b: tuple) -> tuple:
+    """Product of two nonzero integer coefficient tuples."""
+    if len(b) == 1:
+        b0 = b[0]
+        return a if b0 == 1 else tuple(b0 * x for x in a)
+    if len(a) == 1:
+        a0 = a[0]
+        return b if a0 == 1 else tuple(a0 * y for y in b)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)  # Z is a domain: the leading coefficient is nonzero
+
+
+def _zsub(a: tuple, b: tuple) -> tuple:
+    """a - b for integer coefficient tuples, without trailing zeros."""
+    out = list(a)
+    out.extend([0] * (len(b) - len(a)))
+    for k, y in enumerate(b):
+        out[k] -= y
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _zexact_div(a: tuple, b: tuple) -> tuple:
+    """a / b in Z[t] for nonzero b, raising ArithmeticError on a remainder."""
+    if len(b) == 1:
+        d = b[0]
+        if d == 1:
+            return a
+        out = []
+        for x in a:
+            q, rem = divmod(x, d)
+            if rem:
+                raise ArithmeticError(f"{a} is not divisible by {b} in Z[t]")
+            out.append(q)
+        return tuple(out)
+    rem = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    quo = [0] * max(len(rem) - db, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        # a floor quotient leaves rem[k + db] nonzero unless lead divides it,
+        # and no later step touches that coefficient again
+        q = rem[k + db] // lead
+        if q:
+            quo[k] = q
+            for j, y in enumerate(b):
+                rem[k + j] -= q * y
+    if any(rem):
+        raise ArithmeticError(f"{a} is not divisible by {b} in Z[t]")
+    return tuple(quo)
 
 
 def generic_rank(M: Union[BoundaryMatrix, list]) -> int:

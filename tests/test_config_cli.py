@@ -1,5 +1,7 @@
 """Configuration parsing and the command line interface."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from supdeform.brackets import DeformationKind
 from supdeform.cli import main
@@ -242,7 +246,77 @@ class TestCli:
         out = capsys.readouterr().out
         assert "1-cocycle: True" in out
 
+    def test_schouten_degree_one_check_reads_the_bracket_table(self, monkeypatch, capsys):
+        """A deformed bracket that doubles [y_i, y_j] fails the degree-1
+        reduction, while the phi = 0 reduction still holds."""
+        from supdeform import axioms
+
+        original = axioms.deformed_schouten
+
+        def doubled_on_vectors(spec, x, y, phi):
+            image = original(spec, x, y, phi)
+            return image.scale(2) if x.degree() == y.degree() == 1 else image
+
+        monkeypatch.setattr(axioms, "deformed_schouten", doubled_on_vectors)
+        assert main(["schouten", "--config", self._cfg("dim2-standard.cfg"), "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["degree_one_reduces_to_lie"] is False
+        assert payload["zero_phi_reduces_to_schouten"] is True
+
     def test_axioms_json_round_trip(self, capsys):
         assert main(["axioms", "--config", self._cfg("dim2-extended.cfg"), "--format", "json"]) == 0
         out = capsys.readouterr().out.strip()
         assert json.dumps(json.loads(out), indent=2, sort_keys=True) == out
+
+
+# Lines a config may hold, valid and invalid; dims stay small so that every
+# command on every mutant is quick.
+FUZZ_LINES = [
+    "[algebra]", "[phi]", "[deformation]", "[extension]", "[run]", "[bogus]", "[algebra", "",
+    "# comment", "dim = 0", "dim = 1", "dim = 2", "dim = 3", "dim = -1", "dim = x", "names = a",
+    "dual_names = p q r s", "bracket 1 2 -> 1 : 1", "bracket 1 2 -> 3 : 1", "bracket 2 1 -> 1 : -1",
+    "bracket 1 1 -> 1 : 1", "bracket 1 2 -> 9 : 1", "bracket 1 2 -> 1 : 1/0", "bracket 1 2 -> 1 : x",
+    "coeffs = 0 1", "coeffs = 1 0 0", "coeffs = 1/0 1", "coeffs =", "coeffs = a b",
+    "kind = standard", "kind = trivial", "kind = naive_dt", "kind = other", "F = constant 1",
+    "F = kappa 1/2", "F = kappa 0", "F = table", "F = bogus", "F =", "F 0 0 = 1", "F 0 1 = 2",
+    "F 1 0 = 3", "F 0 0 = 1/0", "subalgebra = none", "subalgebra = g0prime",
+    "subalgebra = g0doubleprime", "subalgebra = other", "weights = -2", "weights = a",
+    "max_degree = 3", "max_degree = 0", "max_degree = -1", "max_degree = b", "format = json",
+    "format = xml", "= 1", "key = value",
+]
+FUZZ_COMMANDS = [
+    ["validate"], ["axioms"], ["betti", "--weight", "-2"], ["chain", "--weight", "-2"], ["schouten"],
+]
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A shipped config with some lines replaced, inserted or deleted."""
+    name = draw(st.sampled_from(sorted(p.name for p in CONFIG_DIR.glob("*.cfg"))))
+    lines = (CONFIG_DIR / name).read_text().splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        k = draw(st.integers(0, len(lines)))
+        if edit == "insert":
+            lines.insert(k, draw(st.sampled_from(FUZZ_LINES)))
+        elif lines:
+            k = min(k, len(lines) - 1)
+            if edit == "replace":
+                lines[k] = draw(st.sampled_from(FUZZ_LINES))
+            else:
+                del lines[k]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_mutated_configs())
+def test_mutated_configs_exit_cleanly(tmp_path, text):
+    """Every command exits 0, 1 or 2 on any mutant; an exception escaping
+    ``main`` fails the call."""
+    path = write(tmp_path, text)
+    for command in FUZZ_COMMANDS:
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            warnings.simplefilter("ignore")
+            assert main([command[0], "--config", path, *command[1:]]) in (0, 1, 2)

@@ -326,20 +326,23 @@ def _dense_bareiss(entries):
 
 
 _small_polys = st.lists(st.integers(-3, 3).map(Fraction), min_size=1, max_size=3).map(PolyT)
+_rational_polys = st.lists(
+    st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5])), min_size=1, max_size=3
+).map(PolyT)
 
 
 @st.composite
-def _sparse_matrices(draw):
+def _sparse_matrices(draw, polys=_small_polys):
     """Mostly-zero matrices, some with dependent rows and all-zero columns."""
     nrows, ncols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
     density = draw(st.sampled_from([0.0, 0.2, 0.4, 0.7]))
     rows = [
-        [draw(_small_polys) if draw(st.floats(0, 1)) < density else ZERO for _ in range(ncols)]
+        [draw(polys) if draw(st.floats(0, 1)) < density else ZERO for _ in range(ncols)]
         for _ in range(nrows)
     ]
     if draw(st.booleans()):  # a Q[t]-combination of two rows: rank deficient
         i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
-        a, b = draw(_small_polys), draw(_small_polys)
+        a, b = draw(polys), draw(polys)
         rows.insert(draw(st.integers(0, nrows)), [a * x + b * y for x, y in zip(rows[i], rows[j])])
     for c in draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)):
         for row in rows:
@@ -353,6 +356,23 @@ def test_zero_aware_bareiss_matches_dense_reference(entries):
     before = [row[:] for row in entries]
     assert bareiss(entries) == _dense_bareiss(entries)
     assert entries == before
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_matrices(_rational_polys))
+def test_row_scaled_bareiss_matches_dense_reference(entries):
+    """Denominators 2, 3 and 5: rows get different scales, which must follow
+    their rows through the swaps and come off every pivot exactly."""
+    assert bareiss(entries) == _dense_bareiss(entries)
+
+
+def test_integer_exact_division_raises_on_a_remainder():
+    assert homology._zexact_div((-1, 0, 1), (1, 1)) == (-1, 1)
+    assert homology._zexact_div((4, 6), (2,)) == (2, 3)
+    assert homology._zexact_div((), (3, 1)) == ()
+    for a, b in [((3, 1), (2,)), ((1, 0, 1), (1, 1)), ((0, 1), (1, 2)), ((3,), (1, 1))]:
+        with pytest.raises(ArithmeticError):
+            homology._zexact_div(a, b)
 
 
 def _product(conditions):
@@ -518,4 +538,46 @@ def test_betti_g0p_weight_minus_five_answer_pinned(capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "0e9bba05ba8125c88f78fdb4f76e3c2dd421a7840280ea9627846bed9fd98c89"
+    )
+
+
+def test_betti_g0p_weight_minus_six_answer_pinned(capsys):
+    """Generic Betti (0,0,0,4,8,4,0,0,0,0), locus {t}: the report that the
+    whole-matrix elimination and a block-by-grading one both gave."""
+    assert main(["betti", "--config", AFF_G0P, "--weight", "-6", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "063a9ca886a18578c47a8929b09f49fd121859e98af575eede6448fcb8c06b98"
+    )
+
+
+FILIFORM6_G0P = """
+[algebra]
+dim = 6
+bracket 1 2 -> 3 : 1
+bracket 1 3 -> 4 : 1
+bracket 1 4 -> 5 : 1
+bracket 1 5 -> 6 : 1
+
+[phi]
+coeffs = 0 1 0 0 0 0
+
+[deformation]
+kind = standard
+
+[extension]
+subalgebra = g0prime
+"""
+
+
+def test_filiform6_g0p_weight_minus_three_answer_pinned(tmp_path, capsys):
+    """filiform-6 extended by g0'. Generic Betti (2,7,12,13,9,4,1,0,0),
+    locus {t}: the report that the whole-matrix elimination and a
+    block-by-grading one both gave."""
+    path = tmp_path / "filiform6-g0prime.cfg"
+    path.write_text(FILIFORM6_G0P)
+    assert main(["betti", "--config", str(path), "--weight", "-3", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "dd5d74e162f87c873db62cbc40453614cb6a9efc62f8cb5370ba27e8672aadf8"
     )
