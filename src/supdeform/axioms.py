@@ -2,10 +2,11 @@
 down admissible deformation functions F.
 
 Checkers work on a ``BracketSystem``: an ordered graded basis plus a bilinear
-bracket callable, evaluated once per pair of basis atoms into a memoized
-table.  "Pass" always means the defect is the exact zero element of Q[t]
-coefficients, never numerically small.  Witnesses are reported in enumeration
-order, so the first (lexicographically lowest) failure wins.
+bracket callable, evaluated once per pair of basis atoms (the keys of an
+element's ``terms``) into a memoized table.  "Pass" always means the defect
+is the exact zero element of Q[t] coefficients, never numerically small.
+Witnesses are reported in enumeration order, so the first (lexicographically
+lowest) failure wins.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import qlinalg
 from .brackets import DeformationSpec, SuperElement, deformed_schouten, extension_bracket, form_bracket
 from .exterior import FORM, MULTIVECTOR, GradedElement, d, monomial_label
 from .liealg import LieAlgebraSpec, OneForm
-from .scalars import ONE, T, rat
+from .scalars import ONE, T, add_term, rat
 
 
 @dataclass(frozen=True)
@@ -38,12 +39,14 @@ class BracketSystem:
     """An ordered homogeneous basis together with the bracket to test.
 
     The bracket must be Q[t]-bilinear, which holds for every bracket built
-    here because F depends only on degrees.  Elements are then handled as
-    sparse maps from atoms (basis monomials) to Q[t] coefficients, and the
-    bracket of two atoms is computed once, on first use, into a table that
-    lives as long as the system.  An atom is an index tuple (a monomial of a
-    ``GradedElement``, or the form part of a ``SuperElement``) or a 1-based
-    int (the coordinate vector y_i of a ``SuperElement``).
+    here because F depends only on degrees.  Elements are then handled
+    through their ``terms``, sparse maps from atoms to Q[t] coefficients, and
+    the bracket of two atoms is computed once, on first use, into a table
+    that lives as long as the system.  An atom is a key of ``terms``: an index
+    tuple (a monomial of a ``GradedElement`` or a form monomial of a
+    ``SuperElement``) or a 1-based int (the coordinate vector y_i of a
+    ``SuperElement``); ``proto.like({atom: ONE})`` is the atom as an element
+    of the items' type.
     """
 
     label: str
@@ -51,26 +54,15 @@ class BracketSystem:
     bracket: Callable
     table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def pairs(self):
-        return itertools.product(self.items, repeat=2)
-
     def triples(self):
         return itertools.product(self.items, repeat=3)
-
-    @staticmethod
-    def atoms(element) -> dict:
-        """Atom -> coefficient map of an element; read-only, it may share storage."""
-        if isinstance(element, SuperElement):
-            return {**element.vector, **element.form.terms}
-        return element.terms
 
     def atom_bracket(self, x, y) -> dict:
         """[x, y] for two atoms, from the table (read-only)."""
         image = self.table.get((x, y))
         if image is None:
             proto = self.items[0].element
-            image = self.atoms(self.bracket(_atom_element(proto, x), _atom_element(proto, y)))
-            self.table[(x, y)] = image
+            image = self.table[(x, y)] = self.bracket(proto.like({x: ONE}), proto.like({y: ONE})).terms
         return image
 
     def image(self, u: dict, v: dict) -> dict:
@@ -80,34 +72,8 @@ class BracketSystem:
             for y, cy in v.items():
                 c = cx * cy
                 for z, cz in self.atom_bracket(x, y).items():
-                    _accumulate(out, z, c * cz)
+                    add_term(out, z, c * cz)
         return out
-
-    def element(self, sparse: dict):
-        """The element of the items' type with the given atom coefficients."""
-        proto = self.items[0].element
-        if isinstance(proto, SuperElement):
-            form = {ids: c for ids, c in sparse.items() if isinstance(ids, tuple)}
-            vector = {i: c for i, c in sparse.items() if isinstance(i, int)}
-            return SuperElement(proto.n, GradedElement(FORM, proto.n, form), vector)
-        return GradedElement(proto.kind, proto.n, sparse)
-
-
-def _atom_element(proto, atom):
-    if isinstance(proto, SuperElement):
-        if isinstance(atom, int):
-            return SuperElement(proto.n, vector={atom: ONE})
-        return SuperElement.from_form(GradedElement.monomial(FORM, proto.n, atom))
-    return GradedElement.monomial(proto.kind, proto.n, atom)
-
-
-def _accumulate(out: dict, atom, coeff):
-    s = out.get(atom)
-    s = coeff if s is None else s + coeff
-    if s.is_zero():
-        out.pop(atom, None)
-    else:
-        out[atom] = s
 
 
 def _form_monomials(n: int, maxdeg: int) -> list[tuple[int, ...]]:
@@ -161,13 +127,7 @@ def extension_system(spec: DeformationSpec, vectors) -> BracketSystem:
         )
         items.append(BasisItem(label, SuperElement.from_vector(v), 0))
     for ids in _form_monomials(n, n):
-        items.append(
-            BasisItem(
-                monomial_label(FORM, ids),
-                SuperElement.from_form(GradedElement.monomial(FORM, n, ids)),
-                -len(ids) - 1,
-            )
-        )
+        items.append(BasisItem(monomial_label(FORM, ids), SuperElement(n, {ids: ONE}), -len(ids) - 1))
     return BracketSystem(
         f"extension[{spec.describe()}]",
         items,
@@ -234,16 +194,16 @@ def check_supersymmetry(system: BracketSystem) -> AxiomReport:
     """[x, y] against -(-1)^(x'y') [y, x] for every ordered pair, read from the
     bracket table; ``supersymmetry_defect`` is the direct reference."""
     items = system.items
-    atoms = [system.atoms(item.element) for item in items]
+    atoms = [item.element.terms for item in items]
     checked = 0
     for (i, x), (j, y) in itertools.product(enumerate(items), repeat=2):
         checked += 1
         defect = system.image(atoms[i], atoms[j])
         odd = (x.parity * y.parity) % 2
         for z, c in system.image(atoms[j], atoms[i]).items():
-            _accumulate(defect, z, -c if odd else c)
+            add_term(defect, z, -c if odd else c)
         if defect:
-            witness = Witness((x.label, y.label), system.element(defect))
+            witness = Witness((x.label, y.label), items[0].element.like(defect))
             return AxiomReport(system.label, "supersymmetry", "fail", witness, checked)
     return AxiomReport(system.label, "supersymmetry", "pass", None, checked)
 
@@ -253,7 +213,7 @@ def check_superjacobi(system: BracketSystem) -> AxiomReport:
     contraction of the bracket table with itself; ``superjacobi_defect`` is
     the direct reference."""
     items = system.items
-    atoms = [system.atoms(item.element) for item in items]
+    atoms = [item.element.terms for item in items]
     inner: dict[tuple[int, int], dict] = {}
     checked = 0
     for a, b, c in itertools.product(range(len(items)), repeat=3):
@@ -267,10 +227,10 @@ def check_superjacobi(system: BracketSystem) -> AxiomReport:
                 continue
             odd = (items[u].parity * items[w].parity) % 2
             for z, coeff in system.image(uv, atoms[w]).items():
-                _accumulate(defect, z, -coeff if odd else coeff)
+                add_term(defect, z, -coeff if odd else coeff)
         if defect:
             labels = (items[a].label, items[b].label, items[c].label)
-            return AxiomReport(system.label, "superjacobi", "fail", Witness(labels, system.element(defect)), checked)
+            return AxiomReport(system.label, "superjacobi", "fail", Witness(labels, items[0].element.like(defect)), checked)
     return AxiomReport(system.label, "superjacobi", "pass", None, checked)
 
 

@@ -17,22 +17,20 @@ import enum
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import qlinalg
 from .exterior import (
     FORM,
-    MULTIVECTOR,
     GradedElement,
     contract,
     d,
     is_closed,
     lie_derivative,
+    monomial_key,
     schouten,
-    wedge,
 )
 from .liealg import LieAlgebraSpec, OneForm, VectorField
-from .scalars import PolyT, T, ZERO, _as_poly, rat
+from .scalars import T, Terms, _as_poly, add_term, rat
 
 
 class DeformationKind(enum.Enum):
@@ -190,28 +188,38 @@ def deformed_schouten(
     return result
 
 
-class SuperElement:
-    """An element of h (+) g0: a form component plus a vector component.
+class SuperElement(Terms):
+    """An element of h (+) g0: a Q[t]-combination of atoms.
 
-    The vector component is a sparse map from 1-based basis indices to Q[t]
-    coefficients.  Super degree is -a-1 on a-form terms and 0 on vectors.
+    An atom is a strictly increasing index tuple (a form monomial) or a
+    1-based int (the coordinate vector y_i).  Super degree is -a-1 on a-form
+    atoms and 0 on vectors.
     """
 
-    __slots__ = ("n", "form", "vector")
+    __slots__ = ("n",)
 
-    def __init__(self, n: int, form: Optional[GradedElement] = None, vector=None):
+    def __init__(self, n: int, terms=None):
         self.n = n
-        self.form = form if form is not None else GradedElement.zero(FORM, n)
-        if self.form.kind != FORM or self.form.n != n:
-            raise ValueError("form component mismatch")
-        vec: dict[int, PolyT] = {}
-        for i, c in (vector or {}).items():
-            c = _as_poly(c)
-            if c is None or not 1 <= i <= n:
-                raise ValueError("bad vector component")
-            if not c.is_zero():
-                vec[i] = c
-        self.vector = vec
+        clean: dict = {}
+        for atom, coeff in (terms or {}).items():
+            coeff = _as_poly(coeff)
+            if isinstance(atom, int):
+                if coeff is None or not 1 <= atom <= n:
+                    raise ValueError("bad vector component")
+            elif coeff is None:
+                raise TypeError("coefficients must be PolyT or rational")
+            else:
+                atom = monomial_key(atom, n)
+            if coeff:
+                clean[atom] = coeff
+        self.terms = clean
+
+    @property
+    def header(self) -> tuple:
+        return (self.n,)
+
+    def like(self, terms) -> "SuperElement":
+        return SuperElement(self.n, terms)
 
     @classmethod
     def zero(cls, n: int) -> "SuperElement":
@@ -219,101 +227,48 @@ class SuperElement:
 
     @classmethod
     def from_form(cls, form: GradedElement) -> "SuperElement":
-        return cls(form.n, form=form)
+        if form.kind != FORM:
+            raise ValueError("form component mismatch")
+        return cls(form.n, form.terms)
 
     @classmethod
     def from_vector(cls, x: VectorField) -> "SuperElement":
-        return cls(len(x), vector={i + 1: PolyT.const(c) for i, c in enumerate(x.coeffs) if c})
-
-    def is_zero(self) -> bool:
-        return self.form.is_zero() and not self.vector
-
-    def __add__(self, other: "SuperElement") -> "SuperElement":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        vec = dict(self.vector)
-        for i, c in other.vector.items():
-            s = vec.get(i, ZERO) + c
-            if s.is_zero():
-                vec.pop(i, None)
-            else:
-                vec[i] = s
-        return SuperElement(self.n, self.form + other.form, vec)
-
-    def __neg__(self) -> "SuperElement":
-        return SuperElement(self.n, -self.form, {i: -c for i, c in self.vector.items()})
-
-    def __sub__(self, other: "SuperElement") -> "SuperElement":
-        return self + (-other)
-
-    def scale(self, factor) -> "SuperElement":
-        return SuperElement(
-            self.n,
-            self.form.scale(factor),
-            {i: _as_poly(factor) * c for i, c in self.vector.items()},
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SuperElement):
-            return NotImplemented
-        return self.n == other.n and self.form == other.form and self.vector == other.vector
-
-    def __hash__(self):
-        return hash((self.n, self.form, tuple(sorted(self.vector.items()))))
+        return cls(len(x), {i + 1: c for i, c in enumerate(x.coeffs) if c})
 
     def __str__(self) -> str:
         parts = []
-        if self.vector:
-            for i in sorted(self.vector):
-                c = self.vector[i]
-                cs = str(c)
-                parts.append(f"y{i}" if cs == "1" else f"({cs})*y{i}")
-        if not self.form.is_zero():
-            parts.append(str(self.form))
+        for i in sorted(atom for atom in self.terms if isinstance(atom, int)):
+            cs = str(self.terms[i])
+            parts.append(f"y{i}" if cs == "1" else f"({cs})*y{i}")
+        form = GradedElement(FORM, self.n, {ids: c for ids, c in self.terms.items() if isinstance(ids, tuple)})
+        if not form.is_zero():
+            parts.append(str(form))
         return " + ".join(parts) if parts else "0"
 
     __repr__ = __str__
 
 
-def _lie_derivative_mixed(spec: DeformationSpec, vector: dict[int, PolyT], form: GradedElement) -> GradedElement:
-    """L_X form for X with Q[t] coordinates, by linearity over the basis."""
-    out = GradedElement.zero(FORM, spec.algebra.n)
-    for i, coeff in vector.items():
-        base = lie_derivative(spec.algebra, VectorField.basis(spec.algebra.n, i), form)
-        out = out + base.scale(coeff)
-    return out
-
-
 def extension_bracket(spec: DeformationSpec, u: SuperElement, v: SuperElement) -> SuperElement:
-    """Bracket on h (+) g0: deformed on forms, Lie on vectors,
-    [X, beta] = L_X beta = -[beta, X] mixed."""
-    n = spec.algebra.n
-    out = SuperElement.zero(n)
-    # vector-vector
-    if u.vector and v.vector:
-        vec: dict[int, PolyT] = {}
-        for i, ci in u.vector.items():
-            for j, cj in v.vector.items():
-                for k, c in spec.algebra.bracket_basis(i, j).items():
-                    s = vec.get(k, ZERO) + ci * cj * c
-                    if s.is_zero():
-                        vec.pop(k, None)
-                    else:
-                        vec[k] = s
-        out = out + SuperElement(n, vector=vec)
-    # mixed
-    if u.vector and not v.form.is_zero():
-        out = out + SuperElement.from_form(_lie_derivative_mixed(spec, u.vector, v.form))
-    if v.vector and not u.form.is_zero():
-        out = out - SuperElement.from_form(_lie_derivative_mixed(spec, v.vector, u.form))
-    # form-form, per homogeneous component so F sees true degrees
-    if not u.form.is_zero() and not v.form.is_zero():
-        acc = GradedElement.zero(FORM, n)
-        for a in {len(ids) for ids in u.form.terms}:
-            for b in {len(ids) for ids in v.form.terms}:
-                acc = acc + form_bracket(spec, u.form.homogeneous_part(a), v.form.homogeneous_part(b))
-        out = out + SuperElement.from_form(acc)
-    return out
+    """Bracket on h (+) g0, bilinear over pairs of atoms: Lie on vectors,
+    [X, beta] = L_X beta = -[beta, X] mixed, and the deformed bracket on form
+    monomials, so F sees their true degrees."""
+    algebra = spec.algebra
+    n = algebra.n
+    out: dict = {}
+    for x, cx in u.terms.items():
+        for y, cy in v.terms.items():
+            if isinstance(x, int) and isinstance(y, int):
+                image = algebra.bracket_basis(x, y)
+            elif isinstance(x, int):
+                image = lie_derivative(algebra, VectorField.basis(n, x), GradedElement.monomial(FORM, n, y)).terms
+            elif isinstance(y, int):
+                image = (-lie_derivative(algebra, VectorField.basis(n, y), GradedElement.monomial(FORM, n, x))).terms
+            else:
+                image = form_bracket(spec, GradedElement.monomial(FORM, n, x), GradedElement.monomial(FORM, n, y)).terms
+            c = cx * cy
+            for z, cz in image.items():
+                add_term(out, z, c * cz)
+    return SuperElement(n, out)
 
 
 @dataclass(frozen=True)
@@ -372,3 +327,15 @@ def solve_g0_prime(spec: LieAlgebraSpec, phi: OneForm) -> SubalgebraBasis:
 def solve_g0_doubleprime(spec: LieAlgebraSpec, phi: OneForm) -> SubalgebraBasis:
     """Basis of g0'' = g0' intersected with ker phi (a subalgebra for cocycle phi)."""
     return _subalgebra(spec, _lie_derivative_rows(spec, phi) + [list(phi.coeffs)])
+
+
+def extension_vectors(spec: LieAlgebraSpec, phi: OneForm, extension: str) -> tuple[VectorField, ...]:
+    """Basis of the extension subalgebra chosen by name: ``none``,
+    ``g0prime`` or ``g0doubleprime``."""
+    if extension == "none":
+        return ()
+    if extension == "g0prime":
+        return solve_g0_prime(spec, phi).vectors
+    if extension == "g0doubleprime":
+        return solve_g0_doubleprime(spec, phi).vectors
+    raise ValueError(f"unknown extension choice {extension!r}")

@@ -16,10 +16,10 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence, Union
 
 from . import qlinalg
-from .brackets import DeformationSpec, SuperElement, extension_bracket, solve_g0_doubleprime, solve_g0_prime
-from .exterior import FORM, GradedElement, monomial_label
+from .brackets import DeformationSpec, SuperElement, extension_bracket, extension_vectors
+from .exterior import FORM, monomial_label
 from .liealg import VectorField
-from .scalars import PolyT, ZERO, _as_poly
+from .scalars import ONE, PolyT, Terms, ZERO, _as_poly, add_term
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,10 @@ def normalize(word: Sequence[Generator]):
     return sign, tuple(gens)
 
 
-class ChainElement:
+class ChainElement(Terms):
     """A Q[t]-linear combination of canonical super words."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
         clean: dict[SuperWord, PolyT] = {}
@@ -88,9 +88,16 @@ class ChainElement:
             coeff = _as_poly(coeff)
             if coeff is None:
                 raise TypeError("chain coefficients must be PolyT or rational")
-            if not coeff.is_zero():
+            if coeff:
                 clean[tuple(word)] = coeff
         self.terms = clean
+
+    @property
+    def header(self) -> tuple:
+        return ()
+
+    def like(self, terms) -> "ChainElement":
+        return ChainElement(terms)
 
     @classmethod
     def zero(cls) -> "ChainElement":
@@ -99,39 +106,6 @@ class ChainElement:
     @classmethod
     def of_word(cls, word: SuperWord, coeff=1) -> "ChainElement":
         return cls({word: coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "ChainElement") -> "ChainElement":
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = terms.get(w, ZERO) + c
-            if s.is_zero():
-                terms.pop(w, None)
-            else:
-                terms[w] = s
-        return ChainElement(terms)
-
-    def __neg__(self) -> "ChainElement":
-        return ChainElement({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "ChainElement") -> "ChainElement":
-        return self + (-other)
-
-    def scale(self, factor) -> "ChainElement":
-        factor = _as_poly(factor)
-        if factor.is_zero():
-            return ChainElement()
-        return ChainElement({w: factor * c for w, c in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ChainElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items(), key=lambda kv: tuple(g.sort_key() for g in kv[0]))))
 
     def coefficient(self, word: SuperWord) -> PolyT:
         return self.terms.get(tuple(word), ZERO)
@@ -145,14 +119,8 @@ class ChainComplexSystem:
         n = spec.algebra.n
         if vectors is not None:
             self.vector_basis = tuple(vectors)
-        elif extension == "none":
-            self.vector_basis = ()
-        elif extension == "g0prime":
-            self.vector_basis = solve_g0_prime(spec.algebra, spec.phi).vectors
-        elif extension == "g0doubleprime":
-            self.vector_basis = solve_g0_doubleprime(spec.algebra, spec.phi).vectors
         else:
-            raise ValueError(f"unknown extension choice {extension!r}")
+            self.vector_basis = extension_vectors(spec.algebra, spec.phi, extension)
         self.extension = extension
         gens = [Generator("v", pos, 0) for pos in range(len(self.vector_basis))]
         for deg in range(0, n + 1):
@@ -188,7 +156,7 @@ class ChainComplexSystem:
 
     def _to_super(self, g: Generator) -> SuperElement:
         if g.kind == "f":
-            return SuperElement.from_form(GradedElement.monomial(FORM, self.spec.algebra.n, g.key))
+            return SuperElement(self.spec.algebra.n, {g.key: ONE})
         return SuperElement.from_vector(self.vector_basis[g.key])
 
     def bracket_generators(self, g1: Generator, g2: Generator):
@@ -196,12 +164,10 @@ class ChainComplexSystem:
         cached = self._bracket_cache.get((g1, g2))
         if cached is not None:
             return cached
-        value = extension_bracket(self.spec, self._to_super(g1), self._to_super(g2))
-        out = []
-        for ids, coeff in value.form.terms.items():
-            out.append((self.form_generator(ids), coeff))
-        if value.vector:
-            coords = [value.vector.get(i, ZERO) for i in range(1, self.spec.algebra.n + 1)]
+        value = extension_bracket(self.spec, self._to_super(g1), self._to_super(g2)).terms
+        out = [(self.form_generator(ids), coeff) for ids, coeff in value.items() if isinstance(ids, tuple)]
+        coords = [value.get(i, ZERO) for i in range(1, self.spec.algebra.n + 1)]
+        if any(coords):
             out.extend(self._vector_to_generators(coords))
         result = tuple(out)
         self._bracket_cache[(g1, g2)] = result
@@ -294,10 +260,8 @@ class ChainComplexSystem:
                     if norm is None:
                         continue
                     s2, canon = norm
-                    total = coeff if sgn * s2 > 0 else -coeff
-                    prev = terms.get(canon)
-                    terms[canon] = total if prev is None else prev + total
-        return ChainElement(terms)  # drops the words whose terms cancelled
+                    add_term(terms, canon, coeff if sgn * s2 > 0 else -coeff)
+        return ChainElement(terms)
 
     def boundary(self, element: ChainElement) -> ChainElement:
         out = ChainElement.zero()

@@ -22,7 +22,7 @@ import sys
 
 from . import axioms as axioms_mod
 from . import homology
-from .brackets import deformed_schouten, solve_g0_doubleprime, solve_g0_prime
+from .brackets import deformed_schouten, extension_vectors, solve_g0_doubleprime, solve_g0_prime
 from .chains import ChainComplexSystem
 from .config import ConfigError, RunConfig, load_config
 from .exterior import schouten as plain_schouten
@@ -79,8 +79,7 @@ def cmd_validate(config: RunConfig, args) -> int:
 def _axiom_systems(config: RunConfig):
     systems = [axioms_mod.form_system(config.deformation)]
     if config.extension != "none":
-        solver = solve_g0_prime if config.extension == "g0prime" else solve_g0_doubleprime
-        vectors = solver(config.algebra, config.phi).vectors
+        vectors = extension_vectors(config.algebra, config.phi, config.extension)
         systems.append(axioms_mod.extension_system(config.deformation, vectors))
     return systems
 
@@ -99,19 +98,14 @@ def cmd_chain(config: RunConfig, args) -> int:
     system = ChainComplexSystem(config.deformation, config.extension)
     blocks = []
     for w in _weights(config, args):
-        bound = system.max_length(w)
-        if config.max_degree is not None:
-            bound = min(bound, config.max_degree)
-        per_degree = []
-        for m in range(1, bound + 1):
-            M = homology.boundary_matrix(system, m, w)
-            per_degree.append(
-                {
-                    "m": m,
-                    "basis": [system.word_label(word) for word in M.cols],
-                    "boundary": [[str(e) for e in row] for row in M.entries],
-                }
-            )
+        per_degree = [
+            {
+                "m": M.m,
+                "basis": [system.word_label(word) for word in M.cols],
+                "boundary": [[str(e) for e in row] for row in M.entries],
+            }
+            for M in homology.boundary_matrices(system, w, config.max_degree)
+        ]
         blocks.append({"weight": w, "chain": per_degree})
     payload = {"command": "chain", "weights": blocks}
 
@@ -169,7 +163,7 @@ def cmd_schouten(config: RunConfig, args) -> int:
         for y in system.items:
             plain = plain_schouten(algebra, x.element, y.element)
             if x.superdegree == 0 and y.superdegree == 0:
-                if system.image(system.atoms(x.element), system.atoms(y.element)) != plain.terms:
+                if system.image(x.element.terms, y.element.terms) != plain.terms:
                     degree_one_ok = False
             if deformed_schouten(algebra, x.element, y.element, zero_form) != plain:
                 zero_phi_ok = False

@@ -8,7 +8,7 @@ zero coefficients are always pruned, and the term order is lexicographic.
 from __future__ import annotations
 
 from .liealg import LieAlgebraSpec, OneForm, VectorField
-from .scalars import PolyT, ZERO, _as_poly
+from .scalars import PolyT, Terms, _as_poly, add_term
 
 FORM = "form"
 MULTIVECTOR = "mv"
@@ -40,16 +40,23 @@ def _merge_tuples(a: tuple[int, ...], b: tuple[int, ...]):
     return sign, tuple(out)
 
 
-class GradedElement:
+def monomial_key(ids, n: int) -> tuple[int, ...]:
+    """ids as a strictly increasing tuple of 1-based indices up to n."""
+    ids = tuple(ids)
+    if any(not 1 <= i <= n for i in ids) or any(ids[k] >= ids[k + 1] for k in range(len(ids) - 1)):
+        raise ValueError(f"bad monomial index tuple {ids} for n={n}")
+    return ids
+
+
+class GradedElement(Terms):
     """A linear combination of exterior monomials, either forms or multivectors.
 
     ``terms`` maps strictly increasing 1-based index tuples to nonzero PolyT
     coefficients.  The empty tuple is the scalar monomial (the constant
-    0-form "1", or a 0-vector).  Immutable in practice: operations return
-    fresh elements.
+    0-form "1", or a 0-vector).
     """
 
-    __slots__ = ("kind", "n", "terms")
+    __slots__ = ("kind", "n")
 
     def __init__(self, kind: str, n: int, terms=None):
         if kind not in (FORM, MULTIVECTOR):
@@ -61,15 +68,16 @@ class GradedElement:
             coeff = _as_poly(coeff)
             if coeff is None:
                 raise TypeError("coefficients must be PolyT or rational")
-            if coeff.is_zero():
-                continue
-            ids = tuple(ids)
-            if any(not 1 <= i <= n for i in ids) or any(
-                ids[k] >= ids[k + 1] for k in range(len(ids) - 1)
-            ):
-                raise ValueError(f"bad monomial index tuple {ids} for n={n}")
-            clean[ids] = coeff
+            if coeff:
+                clean[monomial_key(ids, n)] = coeff
         self.terms = clean
+
+    @property
+    def header(self) -> tuple:
+        return (self.kind, self.n)
+
+    def like(self, terms) -> "GradedElement":
+        return GradedElement(self.kind, self.n, terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -98,9 +106,6 @@ class GradedElement:
 
     # -- structure ---------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_homogeneous(self) -> bool:
         degs = {len(ids) for ids in self.terms}
         return len(degs) <= 1
@@ -124,68 +129,18 @@ class GradedElement:
             self.kind, self.n, {ids: c for ids, c in self.terms.items() if len(ids) == deg}
         )
 
-    # -- linear algebra ----------------------------------------------------
-
-    def _check_compatible(self, other: "GradedElement"):
-        if self.kind != other.kind or self.n != other.n:
-            raise ValueError("kind/dimension mismatch between graded elements")
-
-    def __add__(self, other: "GradedElement") -> "GradedElement":
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for ids, c in other.terms.items():
-            s = terms.get(ids, ZERO) + c
-            if s.is_zero():
-                terms.pop(ids, None)
-            else:
-                terms[ids] = s
-        return GradedElement(self.kind, self.n, terms)
-
-    def __neg__(self) -> "GradedElement":
-        return GradedElement(self.kind, self.n, {ids: -c for ids, c in self.terms.items()})
-
-    def __sub__(self, other: "GradedElement") -> "GradedElement":
-        return self + (-other)
-
-    def scale(self, factor) -> "GradedElement":
-        factor = _as_poly(factor)
-        if factor is None:
-            raise TypeError("scale factor must be PolyT or rational")
-        if factor.is_zero():
-            return GradedElement.zero(self.kind, self.n)
-        return GradedElement(self.kind, self.n, {ids: factor * c for ids, c in self.terms.items()})
-
-    def __mul__(self, factor):
-        return self.scale(factor)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GradedElement):
-            return NotImplemented
-        return self.kind == other.kind and self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.kind, self.n, tuple(sorted(self.terms.items()))))
-
     # -- products ----------------------------------------------------------
 
     def wedge(self, other: "GradedElement") -> "GradedElement":
-        self._check_compatible(other)
+        self._require_like(other)
         terms: dict[tuple[int, ...], PolyT] = {}
         for ids_a, ca in self.terms.items():
             for ids_b, cb in other.terms.items():
                 merged = _merge_tuples(ids_a, ids_b)
-                if merged is None:
-                    continue
-                sign, ids = merged
-                add = ca * cb if sign > 0 else -(ca * cb)
-                s = terms.get(ids, ZERO) + add
-                if s.is_zero():
-                    terms.pop(ids, None)
-                else:
-                    terms[ids] = s
-        return GradedElement(self.kind, self.n, terms)
+                if merged is not None:
+                    sign, ids = merged
+                    add_term(terms, ids, ca * cb if sign > 0 else -(ca * cb))
+        return self.like(terms)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -232,14 +187,8 @@ def _interior(covector, element: GradedElement) -> GradedElement:
                 continue
             rest = ids[:s] + ids[s + 1 :]
             add = coeff * pairing
-            if s % 2:
-                add = -add
-            acc = terms.get(rest, ZERO) + add
-            if acc.is_zero():
-                terms.pop(rest, None)
-            else:
-                terms[rest] = acc
-    return GradedElement(element.kind, element.n, terms)
+            add_term(terms, rest, -add if s % 2 else add)
+    return element.like(terms)
 
 
 def contract(P: GradedElement, phi: OneForm) -> GradedElement:
@@ -303,7 +252,7 @@ def schouten(spec: LieAlgebraSpec, P: GradedElement, Q: GradedElement) -> Graded
     """
     if P.kind != MULTIVECTOR or Q.kind != MULTIVECTOR:
         raise ValueError("schouten expects multivectors")
-    result = GradedElement.zero(MULTIVECTOR, spec.n)
+    terms: dict[tuple[int, ...], PolyT] = {}
     for ids_p, cp in P.terms.items():
         for ids_q, cq in Q.terms.items():
             base = cp * cq
@@ -319,15 +268,11 @@ def schouten(spec: LieAlgebraSpec, P: GradedElement, Q: GradedElement) -> Graded
                         continue
                     sign_rest, rest = merged_rest
                     sign0 = -1 if (s + r) % 2 else 1  # (-1)^(s+r) with 1-based s,r
-                    terms = {}
                     for k, ck in lie.items():
                         merged = _merge_tuples((k,), rest)
                         if merged is None:
                             continue
                         sign_k, ids = merged
                         coeff = base * ck
-                        if sign0 * sign_rest * sign_k < 0:
-                            coeff = -coeff
-                        terms[ids] = terms.get(ids, ZERO) + coeff
-                    result = result + GradedElement(MULTIVECTOR, spec.n, terms)
-    return result
+                        add_term(terms, ids, coeff if sign0 * sign_rest * sign_k > 0 else -coeff)
+    return GradedElement(MULTIVECTOR, spec.n, terms)

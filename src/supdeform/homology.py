@@ -30,11 +30,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
-from . import qlinalg
 from .chains import ChainComplexSystem, SuperWord
-from .scalars import ONE, PolyT, ZERO, format_rational, irreducible_factors, poly_gcd, poly_xgcd
+from .scalars import ONE, PolyT, ZERO, add_term, format_rational, irreducible_factors, poly_gcd, poly_xgcd
 
 
 @dataclass
@@ -250,7 +249,7 @@ class FactorSplit(Exception):
 def rank_at_rational(M: Union[BoundaryMatrix, list], t0: Fraction) -> int:
     zero = Fraction(0)
     rows = [[e(t0) if e else zero for e in row] for row in _entries(M)]
-    return qlinalg.rank(rows)
+    return _forward_rank(rows, lambda x: 1 / x)
 
 
 def rank_modulo(M: Union[BoundaryMatrix, list], p: PolyT) -> int:
@@ -261,30 +260,49 @@ def rank_modulo(M: Union[BoundaryMatrix, list], p: PolyT) -> int:
     """
     if p.degree < 1:
         raise ValueError("modulus must have degree >= 1")
-    rows = [[e % p for e in row] for row in _entries(M)]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    rank = 0
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        piv_row = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
-        if piv_row is None:
-            continue
-        rows[r], rows[piv_row] = rows[piv_row], rows[r]
-        g, s, _ = poly_xgcd(rows[r][c], p)
+
+    def inverse(x: PolyT) -> PolyT:
+        g, s, _ = poly_xgcd(x, p)
         if g.degree > 0:
             raise FactorSplit(g)
-        inv = s  # s * pivot == 1 (mod p) since the xgcd is normalized monic
-        rows[r] = [(inv * e) % p for e in rows[r]]
-        for i in range(nrows):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [(e - f * q) % p for e, q in zip(rows[i], rows[r])]
-        rank += 1
+        return s  # s * x == 1 (mod p) since the xgcd is normalized monic
+
+    return _forward_rank([[e % p for e in row] for row in _entries(M)], inverse, lambda x: x % p)
+
+
+def _forward_rank(rows: list[list], inverse, reduce=None) -> int:
+    """Rank of the rows over a field, eliminating in place.
+
+    Each pivot (the first nonzero entry of its column, as in Gauss-Jordan)
+    clears only the rows below it, and only on its own row's support.
+    ``inverse`` inverts a nonzero entry, ``reduce`` (if given) brings a
+    computed entry to normal form; a zero entry is falsy.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pivot_row = rows[r]
+        inv = inverse(pivot_row[c])
+        support = [j for j in range(c + 1, ncols) if pivot_row[j]]
+        for row in rows[r + 1 :]:
+            if row[c]:
+                f = row[c] * inv
+                if reduce is None:
+                    for j in support:
+                        row[j] -= f * pivot_row[j]
+                else:
+                    f = reduce(f)
+                    for j in support:
+                        row[j] = reduce(row[j] - f * pivot_row[j])
         r += 1
-    return rank
+    return r
 
 
 def special_locus_for_matrix(entries: list[list[PolyT]], elimination: Optional[Elimination] = None) -> list[PolyT]:
@@ -344,12 +362,14 @@ def _poly_sort_key(p: PolyT):
     return (p.degree, tuple(p.coeffs))
 
 
-def _boundary_matrices(system: ChainComplexSystem, w: int, max_degree: Optional[int]) -> list[BoundaryMatrix]:
-    """d_1 .. d_bound of the weight-w complex, bound capped by max_degree."""
+def boundary_matrices(system: ChainComplexSystem, w: int, max_degree: Optional[int]) -> Iterator[BoundaryMatrix]:
+    """d_1 .. d_bound of the weight-w complex, bound capped by max_degree,
+    built one at a time as they are consumed (``chain`` renders each one and
+    lets it go)."""
     bound = system.max_length(w)
     if max_degree is not None:
         bound = min(bound, max_degree)
-    return [boundary_matrix(system, m, w) for m in range(1, bound + 1)]
+    return (boundary_matrix(system, m, w) for m in range(1, bound + 1))
 
 
 def _ranks_and_locus(matrices: list[BoundaryMatrix]) -> tuple[list[int], list[tuple[PolyT, list[int]]]]:
@@ -382,7 +402,7 @@ def _add_coprime(conditions: list[PolyT], p: PolyT):
 
 def special_locus(system: ChainComplexSystem, w: int, max_degree: Optional[int] = None) -> list[PolyT]:
     """The conditions where some boundary rank of the weight-w complex drops."""
-    return [cond for cond, _ in _ranks_and_locus(_boundary_matrices(system, w, max_degree))[1]]
+    return [cond for cond, _ in _ranks_and_locus(list(boundary_matrices(system, w, max_degree)))[1]]
 
 
 @dataclass
@@ -469,7 +489,7 @@ def _check_euler(dims: list[int], betti: list[int], context: str):
 
 def betti_piecewise(system: ChainComplexSystem, w: int, max_degree: Optional[int] = None) -> BettiReport:
     """Assemble the piecewise Betti report of the weight-w complex."""
-    matrices = _boundary_matrices(system, w, max_degree)
+    matrices = list(boundary_matrices(system, w, max_degree))
     degrees = [M.m for M in matrices]
     dims = [len(M.cols) for M in matrices]
     _check_complex(matrices)
@@ -502,6 +522,6 @@ def _check_complex(matrices: list[BoundaryMatrix]):
             acc: dict[int, PolyT] = {}
             for k, b in b_col:
                 for i, a in a_cols[k]:
-                    acc[i] = acc[i] + a * b if i in acc else a * b
-            if any(acc.values()):
+                    add_term(acc, i, a * b)
+            if acc:
                 raise RuntimeError(f"d.d != 0 between degrees {A.m} and {B.m}")

@@ -36,10 +36,6 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return m[:r], pivots
 
 
-def rank(rows: list[list[Fraction]]) -> int:
-    return len(rref(rows)[0])
-
-
 def nullspace(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
     """Basis of {x : A x = 0}, one vector per free column, free coordinate = 1."""
     reduced, pivots = rref(rows) if rows else ([], [])
@@ -56,27 +52,17 @@ def nullspace(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction, ..
     return basis
 
 
-def solve(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """One exact solution of A x = b, or None if inconsistent."""
-    if not rows:
-        return None if any(rhs) else ()
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    reduced, pivots = rref(aug)
-    ncols = len(rows[0])
-    for row, pc in zip(reduced, pivots):
-        if pc == ncols:
-            return None
-    x = [Fraction(0)] * ncols
-    for row, pc in zip(reduced, pivots):
-        x[pc] = row[-1]
-    return tuple(x)
-
-
 def solve_in_span(span_rows: list[list[Fraction]], target: list[Fraction]):
     """Coefficients c with sum_i c_i span_rows[i] = target, or None."""
     if not span_rows:
         return None if any(target) else ()
     cols = len(span_rows)
-    rows = [[span_rows[j][i] for j in range(cols)] for i in range(len(target))]
-    return solve(rows, list(target))
-
+    # the augmented system [A | b] whose columns are the span rows and target
+    aug = [[span_rows[j][i] for j in range(cols)] + [b] for i, b in enumerate(target)]
+    reduced, pivots = rref(aug)
+    if pivots and pivots[-1] == cols:
+        return None
+    x = [Fraction(0)] * cols
+    for row, pc in zip(reduced, pivots):
+        x[pc] = row[-1]
+    return tuple(x)

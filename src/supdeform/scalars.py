@@ -9,12 +9,10 @@ polynomials are dense coefficient tuples (degrees stay tiny in practice).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
-from typing import Iterable, Union
+from math import isqrt, lcm
+from typing import Iterable
 
 Rational = Fraction
-
-ScalarLike = Union["PolyT", Fraction, int]
 
 
 def rat(value) -> Fraction:
@@ -181,9 +179,6 @@ class PolyT:
         # quo[dq] is self's leading coefficient over other's, so nonzero
         return PolyT._wrap(tuple(quo)), PolyT._trim(rem)
 
-    def __floordiv__(self, other) -> "PolyT":
-        return divmod(self, other)[0]
-
     def __mod__(self, other) -> "PolyT":
         return divmod(self, other)[1]
 
@@ -256,6 +251,73 @@ def poly(*coeffs) -> PolyT:
     return PolyT(coeffs)
 
 
+def add_term(terms: dict, key, coeff) -> None:
+    """Add coeff to terms[key], dropping the key when the sum is zero."""
+    total = terms.get(key)
+    total = coeff if total is None else total + coeff
+    if total:
+        terms[key] = total
+    else:
+        terms.pop(key, None)
+
+
+class Terms:
+    """A Q[t]-linear combination: ``terms`` maps keys to nonzero PolyT
+    coefficients.
+
+    This is the arithmetic of every sparse element of the package (forms and
+    multivectors, super elements, chains).  A subclass gives ``header``, what
+    two elements must share to be combined, and ``like(terms)``, a checked
+    element of its own kind with the same header.  Immutable in practice:
+    operations return fresh elements.
+    """
+
+    __slots__ = ("terms",)
+
+    @property
+    def header(self) -> tuple:
+        raise NotImplementedError
+
+    def like(self, terms) -> "Terms":
+        raise NotImplementedError
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _require_like(self, other: "Terms"):
+        if type(other) is not type(self) or other.header != self.header:
+            raise ValueError(f"cannot combine {type(self).__name__} {self.header} with {other!r}")
+
+    def __add__(self, other: "Terms") -> "Terms":
+        self._require_like(other)
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            add_term(terms, key, c)
+        return self.like(terms)
+
+    def __neg__(self) -> "Terms":
+        return self.like({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other: "Terms") -> "Terms":
+        return self + (-other)
+
+    def scale(self, factor) -> "Terms":
+        factor = _as_poly(factor)
+        if factor is None:
+            raise TypeError("scale factor must be PolyT or rational")
+        if factor.is_zero():
+            return self.like({})
+        return self.like({key: factor * c for key, c in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.header == other.header and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.header, frozenset(self.terms.items())))
+
+
 def poly_gcd(p: PolyT, q: PolyT) -> PolyT:
     """Monic greatest common divisor; gcd(0, 0) = 0."""
     a, b = p, q
@@ -310,9 +372,7 @@ def rational_roots(p: PolyT) -> set[Fraction]:
     if len(coeffs) == 1:
         return roots
     # primitive integer form
-    denom_lcm = 1
-    for c in coeffs:
-        denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
+    denom_lcm = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * denom_lcm) for c in coeffs]
     for num in _divisors(ints[0]):
         for den in _divisors(ints[-1]):
@@ -320,12 +380,6 @@ def rational_roots(p: PolyT) -> set[Fraction]:
                 if cand not in roots and p(cand) == 0:
                     roots.add(cand)
     return roots
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def squarefree_part(p: PolyT) -> PolyT:

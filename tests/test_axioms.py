@@ -260,8 +260,8 @@ def test_table_contraction_matches_every_direct_defect():
         for a, b, c in system.triples():
             total = None
             for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
-                uv = system.image(system.atoms(u.element), system.atoms(v.element))
-                term = system.element(system.image(uv, system.atoms(w.element)))
+                uv = system.image(u.element.terms, v.element.terms)
+                term = u.element.like(system.image(uv, w.element.terms))
                 term = -term if (u.parity * w.parity) % 2 else term
                 total = term if total is None else total + term
             assert total == superjacobi_defect(system, a, b, c)

@@ -2,7 +2,9 @@
 
 import itertools
 import random
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,8 +29,12 @@ from supdeform.exterior import (
     schouten,
     wedge,
 )
+from supdeform.chains import ChainElement
+from supdeform.config import load_config
 from supdeform.liealg import OneForm, VectorField, abelian, heisenberg3, solvable2
 from supdeform.scalars import PolyT, T, poly
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def mono(kind, n, *ids):
@@ -246,6 +252,118 @@ class TestExtensionBracket:
         parts = extension_bracket(spec, SuperElement.from_vector(VectorField.basis(2, 2)), v)
         parts = parts + extension_bracket(spec, SuperElement.from_form(ONE_FORM), v)
         assert got == parts
+
+
+    def test_matches_componentwise_reference_on_random_elements(self):
+        rng = random.Random(19)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            specs = [
+                DeformationSpec.standard(ALG2, Z2),
+                DeformationSpec.trivial(ALG2, Z1, FSpec.const(Fraction(2, 3)), require_symmetric=False),
+                DeformationSpec.naive_dt(ALG2, Z1),
+                DeformationSpec.standard(heisenberg3(), OneForm.dual_basis(3, 3), warn=False),
+                DeformationSpec.trivial(heisenberg3(), OneForm.make((1, 0, 2)), FSpec.kappa_family(Fraction(1, 3))),
+            ]
+        for spec in specs:
+            for _ in range(25):
+                u, v = _random_super(rng, spec.algebra.n), _random_super(rng, spec.algebra.n)
+                assert extension_bracket(spec, u, v) == _reference_extension_bracket(spec, u, v)
+
+    def test_strings_pinned(self):
+        spec = load_config(ROOT / "configs" / "dim2-extended.cfg").deformation
+        y1, y2 = (SuperElement.from_vector(VectorField.basis(2, i)) for i in (1, 2))
+        u = y1 + y2.scale(2) + SuperElement.from_form(mono(FORM, 2, 2) + mono(FORM, 2).scale(3 * T))
+        v = y2.scale(Fraction(-1, 2)) + SuperElement.from_form(mono(FORM, 2, 1) + mono(FORM, 2, 1, 2).scale(T))
+        assert str(u) == "y1 + (2)*y2 + 3*t*1 + z2"
+        assert str(v) == "(-1/2)*y2 + z1 + t*z1^z2"
+        assert str(-u) == "(-1)*y1 + (-2)*y2 + -3*t*1 - z2"
+        assert str(u.scale(T + 1)) == "(1 + t)*y1 + (2 + 2*t)*y2 + (3*t + 3*t^2)*1 + (1 + t)*z2"
+        assert str(extension_bracket(spec, v, u)) == "(1/2)*y1 + -2*z1 + z2 + (t + 9/2*t^2)*z1^z2"
+        assert str(extension_bracket(spec, u, v)) == "(-1/2)*y1 + 2*z1 - z2 + (-t - 9/2*t^2)*z1^z2"
+        assert str(SuperElement.zero(2)) == "0"
+
+
+def _random_super(rng, n):
+    """Mixed form degrees, a vector that is rarely a coordinate vector, and
+    Q[t] coefficients (often zero, so some components are missing)."""
+
+    def coeff():
+        return PolyT([Fraction(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(rng.randint(0, 2))])
+
+    terms = {i: coeff() for i in range(1, n + 1)}
+    for deg in range(n + 1):
+        for ids in itertools.combinations(range(1, n + 1), deg):
+            if rng.random() < 0.4:
+                terms[ids] = coeff()
+    return SuperElement(n, terms)
+
+
+def _reference_extension_bracket(spec, u, v):
+    """Reference: the vector and form components taken apart, the mixed
+    terms by the Lie derivative along each coordinate, and the form bracket
+    once per pair of homogeneous components."""
+    algebra, n = spec.algebra, spec.algebra.n
+
+    def parts(e):
+        form = GradedElement(FORM, n, {ids: c for ids, c in e.terms.items() if isinstance(ids, tuple)})
+        return form, {i: c for i, c in e.terms.items() if isinstance(i, int)}
+
+    def homogeneous(form, deg):
+        return GradedElement(FORM, n, {ids: c for ids, c in form.terms.items() if len(ids) == deg})
+
+    (u_form, u_vec), (v_form, v_vec) = parts(u), parts(v)
+    vec = {}
+    for i, ci in u_vec.items():
+        for j, cj in v_vec.items():
+            for k, c in algebra.bracket_basis(i, j).items():
+                vec[k] = vec.get(k, PolyT()) + ci * cj * c
+    form = GradedElement.zero(FORM, n)
+    for vector, other, sign in ((u_vec, v_form, 1), (v_vec, u_form, -1)):
+        for i, c in vector.items():
+            form = form + lie_derivative(algebra, VectorField.basis(n, i), other).scale(c * sign)
+    for a in {len(ids) for ids in u_form.terms}:
+        for b in {len(ids) for ids in v_form.terms}:
+            form = form + form_bracket(spec, homogeneous(u_form, a), homogeneous(v_form, b))
+    return SuperElement.from_form(form) + SuperElement(n, vec)
+
+
+class TestTerms:
+    def test_combining_a_different_kind_or_dimension_raises(self):
+        pairs = [
+            (mono(FORM, 2, 1), mono(MULTIVECTOR, 2, 1)),
+            (mono(FORM, 2, 1), mono(FORM, 3, 1)),
+            (SuperElement.from_form(mono(FORM, 2, 1)), SuperElement.from_form(mono(FORM, 3, 1))),
+            (SuperElement.from_form(mono(FORM, 2, 1)), mono(FORM, 2, 1)),
+            (ChainElement.of_word(()), SuperElement.zero(2)),
+        ]
+        for a, b in pairs:
+            for x, y in ((a, b), (b, a)):
+                with pytest.raises(ValueError):
+                    x + y
+                with pytest.raises(ValueError):
+                    x - y
+                assert x != y
+
+    def test_equal_elements_hash_equal(self):
+        a = SuperElement(2, {(1, 2): T, 1: 2, (): Fraction(1, 2)})
+        b = SuperElement(2, {(): Fraction(1, 2), 1: 2}) + SuperElement(2, {(1, 2): T})
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        f = mono(FORM, 2, 1) + mono(FORM, 2, 2).scale(T)
+        g = mono(FORM, 2, 2).scale(T) + mono(FORM, 2, 1)
+        assert f == g and hash(f) == hash(g)
+        assert len({f, g, SuperElement.from_form(f)}) == 2
+        zero = (f - g).scale(3)
+        assert zero.is_zero() and zero == GradedElement.zero(FORM, 2) and hash(zero) == hash(GradedElement.zero(FORM, 2))
+
+    def test_super_element_checks_its_atoms(self):
+        for terms in ({3: 1}, {0: 1}, {1: "x"}):
+            with pytest.raises(ValueError, match="bad vector component"):
+                SuperElement(2, terms)
+        with pytest.raises(ValueError):
+            SuperElement(2, {(2, 1): 1})
+        with pytest.raises(TypeError):
+            SuperElement(2, {(1,): "x"})
 
 
 class TestAdmissibleSubalgebras:

@@ -11,7 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supdeform import homology
+from supdeform import homology, qlinalg
 from supdeform.brackets import DeformationSpec, FSpec
 from supdeform.chains import ChainComplexSystem, ChainElement
 from supdeform.cli import main
@@ -31,7 +31,7 @@ from supdeform.homology import (
     special_locus_for_matrix,
 )
 from supdeform.liealg import OneForm, solvable2
-from supdeform.scalars import ONE, PolyT, T, ZERO, irreducible_factors, poly, poly_gcd
+from supdeform.scalars import ONE, PolyT, T, ZERO, irreducible_factors, poly, poly_gcd, poly_xgcd
 
 AFF_G0P = str(Path(__file__).resolve().parent.parent / "bench" / "configs" / "aff1-aff1-g0prime.cfg")
 
@@ -375,6 +375,53 @@ def test_integer_exact_division_raises_on_a_remainder():
             homology._zexact_div(a, b)
 
 
+def _gauss_jordan_rank_modulo(entries, p):
+    """Reference: Gauss-Jordan over Q[t]/(p), scaling each pivot row to 1
+    and clearing its column in every other row."""
+    rows = [[e % p for e in row] for row in entries]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        piv_row = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
+        if piv_row is None:
+            continue
+        rows[r], rows[piv_row] = rows[piv_row], rows[r]
+        g, inv, _ = poly_xgcd(rows[r][c], p)
+        assert g == ONE
+        rows[r] = [(inv * e) % p for e in rows[r]]
+        for i in range(nrows):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [(e - f * q) % p for e, q in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _sparse_matrices(_rational_polys),
+    st.sampled_from([poly(1, 0, 1), poly(-2, 0, 1), poly(-2, 0, 0, 1)]),
+)
+def test_forward_rank_modulo_matches_gauss_jordan_reference(entries, p):
+    """t^2 + 1, t^2 - 2 and t^3 - 2 are irreducible, so both are ranks over a field."""
+    before = [row[:] for row in entries]
+    assert rank_modulo(entries, p) == _gauss_jordan_rank_modulo(entries, p)
+    assert entries == before
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _sparse_matrices(_rational_polys),
+    st.sampled_from([Fraction(0), Fraction(-1), Fraction(1, 2), Fraction(-2, 3)]),
+)
+def test_forward_rank_at_rational_matches_rref(entries, t0):
+    rows = [[e(t0) for e in row] for row in entries]
+    assert rank_at_rational(entries, t0) == len(qlinalg.rref(rows)[0])
+
+
 def _product(conditions):
     out = ONE
     for p in conditions:
@@ -448,7 +495,7 @@ def test_report_locus_is_its_special_conditions(monkeypatch):
         return original(M, p)
 
     monkeypatch.setattr(homology, "rank_modulo", recording)
-    monkeypatch.setattr(homology, "_boundary_matrices", lambda *_args: matrices)
+    monkeypatch.setattr(homology, "boundary_matrices", lambda *_args: matrices)
     report = betti_piecewise(None, 0)
     assert report.locus == [a * b]
     assert [case.condition for case in report.special] == report.locus
