@@ -11,7 +11,7 @@ from .brackets import (
     solve_g0_doubleprime,
     solve_g0_prime,
 )
-from .chains import ChainComplexSystem, ChainElement, Generator, normalize
+from .chains import ChainComplexSystem, ChainElement, normalize
 from .exterior import (
     FORM,
     MULTIVECTOR,
@@ -39,7 +39,6 @@ __all__ = [
     "DeformationSpec",
     "FORM",
     "FSpec",
-    "Generator",
     "GradedElement",
     "LieAlgebraSpec",
     "MULTIVECTOR",

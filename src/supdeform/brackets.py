@@ -214,13 +214,6 @@ class SuperElement(Terms):
                 clean[atom] = coeff
         self.terms = clean
 
-    @property
-    def header(self) -> tuple:
-        return (self.n,)
-
-    def like(self, terms) -> "SuperElement":
-        return SuperElement(self.n, terms)
-
     @classmethod
     def zero(cls, n: int) -> "SuperElement":
         return cls(n)

@@ -1,61 +1,33 @@
 """Weighted super chain complexes over the generators of h (+) g0'.
 
-Chain generators are *all* exterior-form basis monomials (each monomial is a
-generator in its own right; products of forms are not re-identified with
-longer words) plus a chosen basis of the admissible vector subalgebra.  The
-chain algebra is free super-commutative on that set with the chain parity
-convention: generators of even super degree anticommute (no repeats),
-generators of odd super degree commute (repeats allowed).
+Chain generators are the items of the extension system
+(``axioms.extension_system``): a chosen basis of the admissible vector
+subalgebra, then *all* exterior-form basis monomials by (degree, index tuple)
+(each monomial is a generator in its own right; products of forms are not
+re-identified with longer words).  Generator g is the int index of item g,
+and item order is the canonical word order.  The chain algebra is free
+super-commutative on that set with the chain parity convention: generators
+of even super degree anticommute (no repeats), generators of odd super
+degree commute (repeats allowed).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from . import qlinalg
-from .brackets import DeformationSpec, SuperElement, extension_bracket, extension_vectors
-from .exterior import FORM, monomial_label
+from .axioms import extension_system
+from .brackets import DeformationSpec, extension_vectors
 from .liealg import VectorField
-from .scalars import ONE, PolyT, Terms, ZERO, _as_poly, add_term
+from .scalars import PolyT, Terms, ZERO, _as_poly, add_term
+
+SuperWord = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Generator:
-    """A chain generator: a form monomial or a vector-subalgebra basis element.
-
-    ``key`` is the increasing index tuple for forms, or the position in the
-    chosen vector basis.  Parity of the super degree drives every sign.
-    """
-
-    kind: str  # "v" | "f"
-    key: Union[int, tuple[int, ...]]
-    superdegree: int
-
-    @property
-    def parity(self) -> int:
-        return self.superdegree % 2
-
-    def sort_key(self):
-        if self.kind == "v":
-            return (0, self.key, ())
-        return (1, len(self.key), self.key)
-
-    def __lt__(self, other: "Generator") -> bool:
-        return self.sort_key() < other.sort_key()
-
-
-SuperWord = tuple[Generator, ...]
-
-
-def word_weight(word: SuperWord) -> int:
-    return sum(g.superdegree for g in word)
-
-
-def normalize(word: Sequence[Generator]):
-    """Canonical form of a raw generator sequence.
+def normalize(word: Sequence[int], parity: Sequence[int]):
+    """Canonical form of a raw generator sequence; ``parity[g]`` is the
+    parity of generator g's super degree.
 
     Returns (sign, word) or None when the word is zero (a repeated generator
     of even super degree).  Each adjacent transposition of generators with
@@ -66,13 +38,13 @@ def normalize(word: Sequence[Generator]):
     sign = 1
     for i in range(1, len(gens)):
         j = i
-        while j > 0 and gens[j].sort_key() < gens[j - 1].sort_key():
-            if not (gens[j].parity and gens[j - 1].parity):
+        while j > 0 and gens[j] < gens[j - 1]:
+            if not (parity[gens[j]] and parity[gens[j - 1]]):
                 sign = -sign
             gens[j - 1], gens[j] = gens[j], gens[j - 1]
             j -= 1
     for a, b in zip(gens, gens[1:]):
-        if a == b and a.parity == 0:
+        if a == b and not parity[a]:
             return None
     return sign, tuple(gens)
 
@@ -92,13 +64,6 @@ class ChainElement(Terms):
                 clean[tuple(word)] = coeff
         self.terms = clean
 
-    @property
-    def header(self) -> tuple:
-        return ()
-
-    def like(self, terms) -> "ChainElement":
-        return ChainElement(terms)
-
     @classmethod
     def zero(cls) -> "ChainElement":
         return cls()
@@ -112,60 +77,43 @@ class ChainElement(Terms):
 
 
 class ChainComplexSystem:
-    """Generator set, extension bracket, and boundary for one deformation."""
+    """Generators, their bracket, and the boundary for one deformation.
+
+    ``brackets`` is the extension system whose items are the generators, and
+    whose atom-pair table gives every generator bracket; ``degree[g]`` and
+    ``parity[g]`` are item g's super degree and its parity.
+    """
 
     def __init__(self, spec: DeformationSpec, extension: str = "none", vectors: Optional[Iterable[VectorField]] = None):
         self.spec = spec
-        n = spec.algebra.n
         if vectors is not None:
             self.vector_basis = tuple(vectors)
         else:
             self.vector_basis = extension_vectors(spec.algebra, spec.phi, extension)
-        self.extension = extension
-        gens = [Generator("v", pos, 0) for pos in range(len(self.vector_basis))]
-        for deg in range(0, n + 1):
-            gens.extend(
-                Generator("f", ids, -deg - 1) for ids in _increasing_tuples(n, deg)
-            )
-        self.generators = sorted(gens)
+        self.brackets = extension_system(spec, self.vector_basis)
+        items = self.brackets.items
+        self.degree = [item.superdegree for item in items]
+        self.parity = [item.parity for item in items]
+        nvec = len(self.vector_basis)
+        # form item g holds the single atom (its index tuple) with coefficient 1
+        self.form_index = {ids: g for g, item in enumerate(items[nvec:], nvec) for ids in item.element.terms}
         self._span_rows = [list(v.coeffs) for v in self.vector_basis]
-        self._bracket_cache: dict[tuple[Generator, Generator], tuple] = {}
-
-    # -- generators ---------------------------------------------------------
-
-    def form_generator(self, ids) -> Generator:
-        ids = tuple(ids)
-        return Generator("f", ids, -len(ids) - 1)
-
-    def vector_generator(self, pos: int) -> Generator:
-        return Generator("v", pos, 0)
-
-    def generator_label(self, g: Generator) -> str:
-        if g.kind == "f":
-            return monomial_label(FORM, g.key)
-        v = self.vector_basis[g.key]
-        nonzero = [(i, c) for i, c in enumerate(v.coeffs) if c]
-        if len(nonzero) == 1 and nonzero[0][1] == 1:
-            return f"y{nonzero[0][0] + 1}"
-        return f"x{g.key + 1}"
+        self._bracket_cache: dict[tuple[int, int], tuple] = {}
 
     def word_label(self, word: SuperWord) -> str:
-        return "A".join(self.generator_label(g) for g in word) if word else "(empty)"
+        items = self.brackets.items
+        return "A".join(items[g].label for g in word) if word else "(empty)"
 
     # -- bracket on generators ----------------------------------------------
 
-    def _to_super(self, g: Generator) -> SuperElement:
-        if g.kind == "f":
-            return SuperElement(self.spec.algebra.n, {g.key: ONE})
-        return SuperElement.from_vector(self.vector_basis[g.key])
-
-    def bracket_generators(self, g1: Generator, g2: Generator):
-        """[g1, g2] expanded in chain generators: tuple of (Generator, PolyT)."""
+    def bracket_generators(self, g1: int, g2: int):
+        """[g1, g2] expanded in chain generators: tuple of (generator, PolyT)."""
         cached = self._bracket_cache.get((g1, g2))
         if cached is not None:
             return cached
-        value = extension_bracket(self.spec, self._to_super(g1), self._to_super(g2)).terms
-        out = [(self.form_generator(ids), coeff) for ids, coeff in value.items() if isinstance(ids, tuple)]
+        items = self.brackets.items
+        value = self.brackets.image(items[g1].element.terms, items[g2].element.terms)
+        out = [(self.form_index[ids], coeff) for ids, coeff in value.items() if isinstance(ids, tuple)]
         coords = [value.get(i, ZERO) for i in range(1, self.spec.algebra.n + 1)]
         if any(coords):
             out.extend(self._vector_to_generators(coords))
@@ -187,7 +135,7 @@ class ChainComplexSystem:
             for pos, coeff in enumerate(sol):
                 if coeff:
                     out.setdefault(pos, [Fraction(0)] * (degree + 1))[k] = coeff
-        return [(self.vector_generator(pos), PolyT(cs)) for pos, cs in sorted(out.items())]
+        return [(pos, PolyT(cs)) for pos, cs in sorted(out.items())]
 
     # -- chain bases ----------------------------------------------------------
 
@@ -199,15 +147,15 @@ class ChainComplexSystem:
         """All canonical super words of length m and weight w, in word order."""
         if m < 1:
             raise ValueError("chain degree m must be >= 1")
-        gens = self.generators
-        degs = [g.superdegree for g in gens]
-        suffix_min = [0] * (len(gens) + 1)
-        suffix_max = [0] * (len(gens) + 1)
-        for i in range(len(gens) - 1, -1, -1):
-            suffix_min[i] = min(degs[i], suffix_min[i + 1] if i + 1 < len(gens) else degs[i])
-            suffix_max[i] = max(degs[i], suffix_max[i + 1] if i + 1 < len(gens) else degs[i])
+        degs, parity = self.degree, self.parity
+        count = len(degs)
+        suffix_min = [0] * (count + 1)
+        suffix_max = [0] * (count + 1)
+        for i in range(count - 1, -1, -1):
+            suffix_min[i] = min(degs[i], suffix_min[i + 1] if i + 1 < count else degs[i])
+            suffix_max[i] = max(degs[i], suffix_max[i + 1] if i + 1 < count else degs[i])
         out: list[SuperWord] = []
-        acc: list[Generator] = []
+        acc: list[int] = []
 
         def rec(start: int, weight: int):
             length = len(acc)
@@ -215,21 +163,20 @@ class ChainComplexSystem:
                 if weight == w:
                     out.append(tuple(acc))
                 return
-            if start >= len(gens):
+            if start >= count:
                 return
             remaining = m - length
             if weight + remaining * suffix_min[start] > w:
                 return
             if weight + remaining * suffix_max[start] < w:
                 return
-            for idx in range(start, len(gens)):
-                g = gens[idx]
-                if weight + g.superdegree + (remaining - 1) * suffix_min[idx] > w:
+            for g in range(start, count):
+                if weight + degs[g] + (remaining - 1) * suffix_min[g] > w:
                     continue
-                if weight + g.superdegree + (remaining - 1) * suffix_max[idx] < w:
+                if weight + degs[g] + (remaining - 1) * suffix_max[g] < w:
                     continue
                 acc.append(g)
-                rec(idx if g.parity else idx + 1, weight + g.superdegree)
+                rec(g if parity[g] else g + 1, weight + degs[g])
                 acc.pop()
 
         rec(0, 0)
@@ -243,20 +190,21 @@ class ChainComplexSystem:
         d(Y_1 A ... A Y_m) = sum_{i<j} (-1)^(i-1 + y_i * sum_{i<s<j} y_s)
                              Y_1 A ... ^Y_i ... A [Y_i,Y_j]@j A ... A Y_m
         """
+        parity = self.parity
         m = len(word)
         terms: dict[SuperWord, PolyT] = {}
         for i in range(m):
-            par_i = word[i].parity
+            par_i = parity[word[i]]
             for j in range(i + 1, m):
                 values = self.bracket_generators(word[i], word[j])
                 if not values:
                     continue
-                between = sum(word[s].parity for s in range(i + 1, j)) if par_i else 0
+                between = sum(parity[g] for g in word[i + 1 : j]) if par_i else 0
                 sgn = -1 if (i + between) % 2 else 1  # i-1 with 1-based i == i with 0-based
                 prefix = word[:i] + word[i + 1 : j]
                 suffix = word[j + 1 :]
                 for gen, coeff in values:
-                    norm = normalize(prefix + (gen,) + suffix)
+                    norm = normalize(prefix + (gen,) + suffix, parity)
                     if norm is None:
                         continue
                     s2, canon = norm
@@ -272,7 +220,7 @@ class ChainComplexSystem:
     # -- wedge of chains and the boundary Leibniz decomposition ---------------
 
     def wedge_words(self, u: SuperWord, v: SuperWord) -> ChainElement:
-        norm = normalize(u + v)
+        norm = normalize(u + v, self.parity)
         if norm is None:
             return ChainElement.zero()
         sign, word = norm
@@ -312,8 +260,9 @@ class ChainComplexSystem:
 
     def _sbt_es_double_sum(self, u: SuperWord, v: SuperWord) -> ChainElement:
         out = ChainElement.zero()
-        parities_u = [g.parity for g in u]
-        parities_v = [g.parity for g in v]
+        parity = self.parity
+        parities_u = [parity[g] for g in u]
+        parities_v = [parity[g] for g in v]
         for i in range(len(u)):
             tail_u = sum(parities_u[i + 1 :])
             for j in range(len(v)):
@@ -326,13 +275,9 @@ class ChainComplexSystem:
                 seq_prefix = u[:i] + u[i + 1 :]
                 seq_suffix = v[:j] + v[j + 1 :]
                 for gen, coeff in values:
-                    norm = normalize(seq_prefix + (gen,) + seq_suffix)
+                    norm = normalize(seq_prefix + (gen,) + seq_suffix, parity)
                     if norm is None:
                         continue
                     s2, canon = norm
                     out = out + ChainElement.of_word(canon, coeff if sgn * s2 > 0 else -coeff)
         return out
-
-
-def _increasing_tuples(n: int, deg: int):
-    return combinations(range(1, n + 1), deg)

@@ -72,13 +72,6 @@ class GradedElement(Terms):
                 clean[monomial_key(ids, n)] = coeff
         self.terms = clean
 
-    @property
-    def header(self) -> tuple:
-        return (self.kind, self.n)
-
-    def like(self, terms) -> "GradedElement":
-        return GradedElement(self.kind, self.n, terms)
-
     # -- constructors ------------------------------------------------------
 
     @classmethod

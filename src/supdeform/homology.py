@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from .chains import ChainComplexSystem, SuperWord
 from .scalars import ONE, PolyT, ZERO, add_term, format_rational, irreducible_factors, poly_gcd, poly_xgcd
@@ -73,10 +73,6 @@ def boundary_matrix(system: ChainComplexSystem, m: int, w: int) -> BoundaryMatri
                 raise RuntimeError("boundary image left the expected weight space")
             entries[r][c] = coeff
     return BoundaryMatrix(m, w, rows, cols, entries)
-
-
-def _entries(M: Union[BoundaryMatrix, list]) -> list[list[PolyT]]:
-    return M.entries if isinstance(M, BoundaryMatrix) else M
 
 
 Elimination = tuple[int, list[PolyT]]
@@ -201,9 +197,9 @@ def _zexact_div(a: tuple, b: tuple) -> tuple:
     return tuple(quo)
 
 
-def generic_rank(M: Union[BoundaryMatrix, list]) -> int:
+def generic_rank(entries: list[list[PolyT]]) -> int:
     """Rank over the fraction field Q(t)."""
-    return bareiss(_entries(M))[0]
+    return bareiss(entries)[0]
 
 
 def det_poly(entries: list[list[PolyT]]) -> PolyT:
@@ -246,13 +242,13 @@ class FactorSplit(Exception):
         self.factor = factor
 
 
-def rank_at_rational(M: Union[BoundaryMatrix, list], t0: Fraction) -> int:
+def rank_at_rational(entries: list[list[PolyT]], t0: Fraction) -> int:
     zero = Fraction(0)
-    rows = [[e(t0) if e else zero for e in row] for row in _entries(M)]
+    rows = [[e(t0) if e else zero for e in row] for row in entries]
     return _forward_rank(rows, lambda x: 1 / x)
 
 
-def rank_modulo(M: Union[BoundaryMatrix, list], p: PolyT) -> int:
+def rank_modulo(entries: list[list[PolyT]], p: PolyT) -> int:
     """Rank over Q[t]/(p) for monic p of degree >= 1.
 
     Requires p irreducible to be a field; a pivot whose gcd with p is proper
@@ -267,7 +263,7 @@ def rank_modulo(M: Union[BoundaryMatrix, list], p: PolyT) -> int:
             raise FactorSplit(g)
         return s  # s * x == 1 (mod p) since the xgcd is normalized monic
 
-    return _forward_rank([[e % p for e in row] for row in _entries(M)], inverse, lambda x: x % p)
+    return _forward_rank([[e % p for e in row] for row in entries], inverse, lambda x: x % p)
 
 
 def _forward_rank(rows: list[list], inverse, reduce=None) -> int:

@@ -266,9 +266,9 @@ class Terms:
     coefficients.
 
     This is the arithmetic of every sparse element of the package (forms and
-    multivectors, super elements, chains).  A subclass gives ``header``, what
-    two elements must share to be combined, and ``like(terms)``, a checked
-    element of its own kind with the same header.  Immutable in practice:
+    multivectors, super elements, chains).  A subclass's own ``__slots__``
+    make up its ``header``, what two elements must share to be combined; its
+    constructor checks keys and coefficients.  Immutable in practice:
     operations return fresh elements.
     """
 
@@ -276,10 +276,17 @@ class Terms:
 
     @property
     def header(self) -> tuple:
-        raise NotImplementedError
+        return tuple(getattr(self, slot) for slot in type(self).__slots__)
 
     def like(self, terms) -> "Terms":
-        raise NotImplementedError
+        """An element of this kind and header that holds ``terms`` unchecked:
+        its keys must be valid keys of this kind and its coefficients nonzero
+        PolyT, as arithmetic on checked elements leaves them."""
+        out = object.__new__(type(self))
+        for slot in type(self).__slots__:
+            setattr(out, slot, getattr(self, slot))
+        out.terms = terms
+        return out
 
     def is_zero(self) -> bool:
         return not self.terms

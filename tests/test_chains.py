@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from supdeform.brackets import DeformationSpec
-from supdeform.chains import ChainComplexSystem, ChainElement, normalize, word_weight
+from supdeform.brackets import DeformationSpec, SuperElement, extension_bracket
+from supdeform.chains import ChainComplexSystem, ChainElement, normalize
 from supdeform.config import load_config
-from supdeform.liealg import OneForm, heisenberg3, solvable2
+from supdeform.liealg import OneForm, VectorField, heisenberg3, solvable2
 from supdeform.scalars import ZERO, poly
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,40 +32,41 @@ def sys_ext():
 
 class TestNormalize:
     def test_odd_generator_repeats(self, sys_h):
-        one = sys_h.form_generator(())
-        assert normalize((one, one, one)) == (1, (one, one, one))
+        one = sys_h.form_index[()]
+        assert normalize((one, one, one), sys_h.parity) == (1, (one, one, one))
 
     def test_odd_two_form_symmetric(self, sys_h):
-        V = sys_h.form_generator((1, 2))
-        assert V.parity == 1  # superdegree -3
-        assert normalize((V, V)) == (1, (V, V))
+        V = sys_h.form_index[(1, 2)]
+        assert sys_h.degree[V] == -3
+        assert normalize((V, V), sys_h.parity) == (1, (V, V))
 
     def test_even_repeat_is_zero(self, sys_h):
-        z1 = sys_h.form_generator((1,))
-        assert z1.parity == 0  # superdegree -2
-        assert normalize((z1, z1)) is None
+        z1 = sys_h.form_index[(1,)]
+        assert sys_h.degree[z1] == -2
+        assert normalize((z1, z1), sys_h.parity) is None
 
     def test_swap_signs(self, sys_h):
-        one = sys_h.form_generator(())
-        z1 = sys_h.form_generator((1,))
+        one = sys_h.form_index[()]
+        z1 = sys_h.form_index[(1,)]
         # even-odd adjacent swap anticommutes
-        assert normalize((z1, one)) == (-1, (one, z1))
+        assert normalize((z1, one), sys_h.parity) == (-1, (one, z1))
 
     def test_permutation_invariance(self, sys_ext):
         rng = random.Random(99)
-        gens = sys_ext.generators
+        parity = sys_ext.parity
+        gens = range(len(parity))
         for _ in range(200):
             word = tuple(rng.choice(gens) for _ in range(rng.randint(2, 5)))
-            base = normalize(word)
+            base = normalize(word, parity)
             perm = list(word)
             rng.shuffle(perm)
-            permuted = normalize(tuple(perm))
+            permuted = normalize(tuple(perm), parity)
             if base is None:
                 assert permuted is None
                 continue
             # recompute the super-sign of the permutation independently by
             # tracking element moves pairwise
-            sign_oracle = _super_sign(word, tuple(perm))
+            sign_oracle = _super_sign(word, tuple(perm), parity)
             if sign_oracle is None:
                 assert permuted is None or permuted[1] == base[1]
                 continue
@@ -74,7 +75,7 @@ class TestNormalize:
             assert permuted[0] == base[0] * sign_oracle
 
 
-def _super_sign(src, dst):
+def _super_sign(src, dst, parity):
     """Sign relating two orderings of the same multiset (None if ambiguous)."""
     work = list(src)
     sign = 1
@@ -84,7 +85,7 @@ def _super_sign(src, dst):
             return None
         while pos > target_pos:
             a, b = work[pos - 1], work[pos]
-            sign *= 1 if (a.parity and b.parity) else -1
+            sign *= 1 if (parity[a] and parity[b]) else -1
             work[pos - 1], work[pos] = b, a
             pos -= 1
     return sign
@@ -116,25 +117,24 @@ class TestEnumerateBasis:
 
 class TestBoundary:
     def test_boundary_of_one_form_words(self, sys_h):
-        one = sys_h.form_generator(())
-        z1 = sys_h.form_generator((1,))
-        V = sys_h.form_generator((1, 2))
+        one = sys_h.form_index[()]
+        z1 = sys_h.form_index[(1,)]
+        V = sys_h.form_index[(1, 2)]
         # paper's d(z1 A 1) = (1 + 3t/2) z1^z2, written here on the raw word
         value = sys_h.boundary_word((z1, one))
         assert value == ChainElement.of_word((V,), poly(1, Fraction(3, 2)))
 
     def test_boundary_cube_of_ones(self, sys_h):
-        one = sys_h.form_generator(())
-        z2 = sys_h.form_generator((2,))
+        one = sys_h.form_index[()]
+        z2 = sys_h.form_index[(2,)]
         value = sys_h.boundary_word((one, one, one))
         # 3t * (z2 A 1) in the paper's labels; canonically -3t * (1 A z2)
         assert value == ChainElement.of_word((one, z2), poly(0, -3))
 
     def test_boundary_top_extended_word(self, sys_ext):
-        y1 = sys_ext.vector_generator(0)
-        y2 = sys_ext.vector_generator(1)
-        one = sys_ext.form_generator(())
-        z2 = sys_ext.form_generator((2,))
+        y1, y2 = 0, 1  # the vector basis comes first
+        one = sys_ext.form_index[()]
+        z2 = sys_ext.form_index[(2,)]
         word = (y1, y2, one, one, one)
         value = sys_ext.boundary_word(word)
         expected = ChainElement.of_word((y1, one, one, one)) + ChainElement.of_word(
@@ -150,7 +150,7 @@ class TestBoundary:
             for word in sys_ext.enumerate_basis(m, w):
                 image = sys_ext.boundary_word(word)
                 for out_word in image.terms:
-                    assert word_weight(out_word) == w
+                    assert sum(sys_ext.degree[g] for g in out_word) == w
                     assert len(out_word) == len(word) - 1
 
     def test_boundary_squares_to_zero_everywhere(self, sys_ext):
@@ -169,7 +169,7 @@ def _all_even_boundary(system, word):
             rest = word[:i] + word[i + 1 : j] + word[j + 1 :]
             sgn = -((-1) ** (i + 1 + j + 1))
             for gen, coeff in system.bracket_generators(word[i], word[j]):
-                norm = normalize((gen,) + rest)
+                norm = normalize((gen,) + rest, system.parity)
                 if norm is None:
                     continue
                 s2, canon = norm
@@ -185,7 +185,7 @@ def _all_odd_boundary(system, word):
         for j in range(i + 1, m):
             rest = word[:i] + word[i + 1 : j] + word[j + 1 :]
             for gen, coeff in system.bracket_generators(word[i], word[j]):
-                norm = normalize((gen,) + rest)
+                norm = normalize((gen,) + rest, system.parity)
                 if norm is None:
                     continue
                 s2, canon = norm
@@ -199,18 +199,18 @@ def _pairwise_boundary(system, word):
     m = len(word)
     acc = ChainElement.zero()
     for i in range(m):
-        par_i = word[i].parity
+        par_i = system.parity[word[i]]
         for j in range(i + 1, m):
             values = system.bracket_generators(word[i], word[j])
             if not values:
                 continue
-            between = sum(word[s].parity for s in range(i + 1, j)) if par_i else 0
+            between = sum(system.parity[word[s]] for s in range(i + 1, j)) if par_i else 0
             sgn = -1 if (i + between) % 2 else 1
             prefix = word[:i] + word[i + 1 : j]
             suffix = word[j + 1 :]
             terms = {}
             for gen, coeff in values:
-                norm = normalize(prefix + (gen,) + suffix)
+                norm = normalize(prefix + (gen,) + suffix, system.parity)
                 if norm is None:
                     continue
                 s2, canon = norm
@@ -244,25 +244,25 @@ def test_boundary_word_matches_pairwise_sum(config_path, weights):
 class TestBoundarySpecializations:
     def test_all_even_words_match_classic_formula(self, sys_ext):
         # vector generators are even and closed under bracketing
-        word = (sys_ext.vector_generator(0), sys_ext.vector_generator(1))
+        word = (0, 1)
         assert sys_ext.boundary_word(word) == _all_even_boundary(sys_ext, word)
 
     def test_all_even_random_vector_words(self):
         heis = heisenberg3()
         spec = DeformationSpec.standard(heis, OneForm.dual_basis(3, 1))
         system = ChainComplexSystem(spec, "g0prime")
-        vecs = [system.vector_generator(i) for i in range(len(system.vector_basis))]
+        vecs = range(len(system.vector_basis))
         rng = random.Random(12)
         for _ in range(50):
             word = tuple(rng.sample(vecs, rng.randint(2, len(vecs))))
-            norm = normalize(word)
+            norm = normalize(word, system.parity)
             if norm is None:
                 continue
             _, canon = norm
             assert system.boundary_word(canon) == _all_even_boundary(system, canon)
 
     def test_all_odd_random_words(self, sys_ext):
-        odd = [g for g in sys_ext.generators if g.parity == 1]
+        odd = [g for g, par in enumerate(sys_ext.parity) if par]
         rng = random.Random(13)
         for _ in range(50):
             word = tuple(sorted(rng.choices(odd, k=rng.randint(2, 4))))
@@ -271,24 +271,25 @@ class TestBoundarySpecializations:
 
 class TestSbtES:
     def test_unit_word(self, sys_ext):
-        one = sys_ext.form_generator(())
+        one = sys_ext.form_index[()]
         A = ChainElement.of_word((one, one))
         assert sys_ext.sbt_es(A, ChainElement.of_word(())).is_zero()
 
     def test_single_generators_give_bracket(self, sys_ext):
-        y2 = sys_ext.vector_generator(1)
-        V = sys_ext.form_generator((1, 2))
+        y2 = 1
+        V = sys_ext.form_index[(1, 2)]
         lhs = sys_ext.sbt_es(ChainElement.of_word((y2,)), ChainElement.of_word((V,)))
         assert lhs == sys_ext.boundary_word((y2, V))
 
     def test_random_pairs_agree(self, sys_ext):
         rng = random.Random(3)
-        gens = sys_ext.generators
+        parity = sys_ext.parity
+        gens = range(len(parity))
         checked = 0
         while checked < 120:
             u = tuple(rng.choice(gens) for _ in range(rng.randint(1, 2)))
             v = tuple(rng.choice(gens) for _ in range(rng.randint(1, 2)))
-            nu, nv = normalize(u), normalize(v)
+            nu, nv = normalize(u, parity), normalize(v, parity)
             if nu is None or nv is None:
                 continue
             A = ChainElement.of_word(nu[1], nu[0])
@@ -304,11 +305,36 @@ class TestVectorReexpression:
         spec = DeformationSpec.standard(heis, OneForm.dual_basis(3, 1))
         system = ChainComplexSystem(spec, "g0prime")
         assert len(system.vector_basis) == 3
-        y1 = system.vector_generator(0)
-        y2 = system.vector_generator(1)
-        values = dict(system.bracket_generators(y1, y2))
-        assert {system.generator_label(g) for g in values} == {"y3"}
+        values = dict(system.bracket_generators(0, 1))
+        assert {system.word_label((g,)) for g in values} == {"y3"}
 
     def test_generator_ordering_vectors_before_forms(self, sys_ext):
-        kinds = [g.kind for g in sys_ext.generators]
-        assert kinds == sorted(kinds, key=lambda k: 0 if k == "v" else 1)
+        nvec = len(sys_ext.vector_basis)
+        assert sys_ext.degree[:nvec] == [0] * nvec
+        assert list(sys_ext.form_index.values()) == list(range(nvec, len(sys_ext.degree)))
+        assert list(sys_ext.form_index) == sorted(sys_ext.form_index, key=lambda ids: (len(ids), ids))
+
+
+def _bracket_systems():
+    for path in ("configs/dim2-extended.cfg", "bench/configs/aff1-aff1-g0prime.cfg"):
+        config = load_config(str(ROOT / path))
+        yield ChainComplexSystem(config.deformation, config.extension)
+    # non-coordinate vector bases: atoms of a vector are several y_i, and
+    # [y1 + y2, y2] = y3 = (y1 + y3) - (y1 + y2) + y2 is re-expressed
+    spec = DeformationSpec.standard(heisenberg3(), OneForm.dual_basis(3, 1))
+    yield ChainComplexSystem(spec, vectors=[VectorField((1, 1, 0)), VectorField((0, 0, 1))])
+    yield ChainComplexSystem(spec, vectors=[VectorField((1, 1, 0)), VectorField((0, 1, 0)), VectorField((1, 0, 1))])
+
+
+@pytest.mark.parametrize("system", list(_bracket_systems()), ids=["dim2-extended", "aff1-aff1-g0prime", "heis-span2", "heis-span3"])
+def test_bracket_generators_match_extension_bracket(system):
+    """Summing each generator-pair expansion back into a SuperElement gives
+    extension_bracket on the two generators' elements."""
+    elements = [item.element for item in system.brackets.items]
+    zero = SuperElement.zero(system.spec.algebra.n)
+    for g1, u in enumerate(elements):
+        for g2, v in enumerate(elements):
+            total = zero
+            for g, coeff in system.bracket_generators(g1, g2):
+                total = total + elements[g].scale(coeff)
+            assert total == extension_bracket(system.spec, u, v)

@@ -62,11 +62,11 @@ def test_boundary_matrix_shapes_and_entries(sys_std):
     assert sorted(flat) == ["-3*t", "0"]
     M1 = boundary_matrix(sys_std, 1, -3)
     assert M1.shape == (0, 1)
-    assert generic_rank(M1) == 0
+    assert generic_rank(M1.entries) == 0
 
 
 def test_generic_rank_examples(sys_std):
-    assert generic_rank(boundary_matrix(sys_std, 2, -3)) == 1
+    assert generic_rank(boundary_matrix(sys_std, 2, -3).entries) == 1
     assert generic_rank([[ZERO, ZERO]]) == 0
     assert generic_rank([[poly(1, Fraction(3, 2)), ZERO]]) == 1
 
@@ -80,12 +80,12 @@ def _to_sympy(entries):
 
 def test_extended_m4_rank_against_sympy_oracle(sys_ext):
     M4 = boundary_matrix(sys_ext, 4, -3)
-    assert generic_rank(M4) == 3
+    assert generic_rank(M4.entries) == 3
     assert _to_sympy(M4.entries).rank() == 3
     # and the generic ranks of the whole extended complex
     for m, expected in [(2, 1), (3, 3), (5, 1)]:
         M = boundary_matrix(sys_ext, m, -3)
-        assert generic_rank(M) == expected
+        assert generic_rank(M.entries) == expected
         assert _to_sympy(M.entries).rank() == expected
 
 
@@ -133,10 +133,10 @@ def test_locus_paths_agree_on_paper_matrices(sys_std, sys_ext):
 
 
 def test_rank_specializations(sys_std):
-    M2 = boundary_matrix(sys_std, 2, -3)
+    M2 = boundary_matrix(sys_std, 2, -3).entries
     assert rank_at_rational(M2, Fraction(0)) == 1
     assert rank_at_rational(M2, Fraction(-2, 3)) == 0
-    M3 = boundary_matrix(sys_std, 3, -3)
+    M3 = boundary_matrix(sys_std, 3, -3).entries
     assert rank_at_rational(M3, Fraction(0)) == 0
     assert rank_at_rational(M3, Fraction(1)) == 1
     # rank over Q[t]/(t^2 + 1), an irreducible non-rational condition
@@ -212,10 +212,10 @@ def test_boundary_image_spans_match_paper(sys_ext):
         basis = sys_ext.enumerate_basis(m, -3)
         return [element.coefficient(word) for word in basis]
 
-    y1, y2 = sys_ext.vector_generator(0), sys_ext.vector_generator(1)
-    one = sys_ext.form_generator(())
-    z1, z2 = sys_ext.form_generator((1,)), sys_ext.form_generator((2,))
-    V = sys_ext.form_generator((1, 2))
+    y1, y2 = 0, 1  # the vector basis comes first
+    one = sys_ext.form_index[()]
+    z1, z2 = sys_ext.form_index[(1,)], sys_ext.form_index[(2,)]
+    V = sys_ext.form_index[(1, 2)]
     q = poly(1, Fraction(3, 2))  # 1 + 3t/2
 
     def C(*pairs):
@@ -223,7 +223,7 @@ def test_boundary_image_spans_match_paper(sys_ext):
         for coeff, raw in pairs:
             from supdeform.chains import normalize
 
-            sign, word = normalize(raw)
+            sign, word = normalize(raw, sys_ext.parity)
             total = total + ChainElement.of_word(word, PolyT.const(sign) * coeff)
         return total
 
@@ -254,7 +254,7 @@ def test_boundary_image_spans_match_paper(sys_ext):
 
 def test_minors_gcd_values(sys_ext):
     M3 = boundary_matrix(sys_ext, 3, -3)
-    g = minors_gcd(M3.entries, generic_rank(M3))
+    g = minors_gcd(M3.entries, generic_rank(M3.entries))
     # t(t + 2/3) up to monic normalization
     assert g == (T * poly(Fraction(2, 3), 1)).monic()
     assert special_locus_for_matrix(M3.entries) == [T, poly(Fraction(2, 3), 1)]
@@ -490,9 +490,9 @@ def test_report_locus_is_its_special_conditions(monkeypatch):
     reduced = []
     original = homology.rank_modulo
 
-    def recording(M, p):
-        reduced.append(homology._entries(M))
-        return original(M, p)
+    def recording(entries, p):
+        reduced.append(entries)
+        return original(entries, p)
 
     monkeypatch.setattr(homology, "rank_modulo", recording)
     monkeypatch.setattr(homology, "boundary_matrices", lambda *_args: matrices)
@@ -524,13 +524,13 @@ def test_betti_piecewise_eliminates_each_matrix_once(monkeypatch):
         built.append(boundary_matrix(system, m, w))
         return built[-1]
 
-    def at_rational(M, t0):
-        specialized.append((homology._entries(M), poly(-t0, 1)))
-        return rank_at_rational(M, t0)
+    def at_rational(entries, t0):
+        specialized.append((entries, poly(-t0, 1)))
+        return rank_at_rational(entries, t0)
 
-    def modulo(M, p):
-        specialized.append((homology._entries(M), p))
-        return rank_modulo(M, p)
+    def modulo(entries, p):
+        specialized.append((entries, p))
+        return rank_modulo(entries, p)
 
     for name in calls:
         monkeypatch.setattr(homology, name, counting(name))
@@ -595,6 +595,16 @@ def test_betti_g0p_weight_minus_six_answer_pinned(capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "063a9ca886a18578c47a8929b09f49fd121859e98af575eede6448fcb8c06b98"
+    )
+
+
+def test_chain_g0p_weight_minus_four_dump_pinned(capsys):
+    """Word labels, canonical word order and every boundary entry of the
+    w = -4 chain dump on aff(1)+aff(1) extended by g0'."""
+    assert main(["chain", "--config", AFF_G0P, "--weight", "-4", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "49880145f6923c913fe05b425ac4e4f7dd6a68d8c275f3264c58b39f0fb26bf5"
     )
 
 
