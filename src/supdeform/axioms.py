@@ -20,7 +20,7 @@ from . import qlinalg
 from .brackets import DeformationSpec, SuperElement, deformed_schouten, extension_bracket, form_bracket
 from .exterior import FORM, MULTIVECTOR, GradedElement, d, monomial_label
 from .liealg import LieAlgebraSpec, OneForm
-from .scalars import ONE, T, add_term, rat
+from .scalars import ONE, add_term, rat
 
 
 @dataclass(frozen=True)
@@ -76,20 +76,19 @@ class BracketSystem:
         return out
 
 
-def _form_monomials(n: int, maxdeg: int) -> list[tuple[int, ...]]:
+def _form_monomials(n: int) -> list[tuple[int, ...]]:
     out = []
-    for deg in range(0, maxdeg + 1):
+    for deg in range(0, n + 1):
         out.extend(itertools.combinations(range(1, n + 1), deg))
     return out
 
 
-def form_system(spec: DeformationSpec, maxdeg: Optional[int] = None) -> BracketSystem:
+def form_system(spec: DeformationSpec) -> BracketSystem:
     """The superalgebra of forms with the configured deformed bracket."""
     n = spec.algebra.n
-    maxdeg = n if maxdeg is None else min(maxdeg, n)
     items = [
         BasisItem(monomial_label(FORM, ids), GradedElement.monomial(FORM, n, ids), -len(ids) - 1)
-        for ids in _form_monomials(n, maxdeg)
+        for ids in _form_monomials(n)
     ]
     return BracketSystem(
         f"forms[{spec.describe()}]",
@@ -98,16 +97,12 @@ def form_system(spec: DeformationSpec, maxdeg: Optional[int] = None) -> BracketS
     )
 
 
-def multivector_system(
-    spec: LieAlgebraSpec, phi: OneForm, maxdeg: Optional[int] = None
-) -> BracketSystem:
+def multivector_system(spec: LieAlgebraSpec, phi: OneForm) -> BracketSystem:
     """Multivectors of degree >= 1 with the phi-deformed Schouten bracket."""
     n = spec.n
-    maxdeg = n if maxdeg is None else min(maxdeg, n)
     items = [
         BasisItem(monomial_label(MULTIVECTOR, ids), GradedElement.monomial(MULTIVECTOR, n, ids), len(ids) - 1)
-        for deg in range(1, maxdeg + 1)
-        for ids in itertools.combinations(range(1, n + 1), deg)
+        for ids in _form_monomials(n)[1:]
     ]
     return BracketSystem(
         "multivectors[deformed Schouten]",
@@ -126,7 +121,7 @@ def extension_system(spec: DeformationSpec, vectors) -> BracketSystem:
             f"x{pos + 1}",
         )
         items.append(BasisItem(label, SuperElement.from_vector(v), 0))
-    for ids in _form_monomials(n, n):
+    for ids in _form_monomials(n):
         items.append(BasisItem(monomial_label(FORM, ids), SuperElement(n, {ids: ONE}), -len(ids) - 1))
     return BracketSystem(
         f"extension[{spec.describe()}]",
@@ -247,7 +242,7 @@ def jacobi_closed_form(
     algebra, F = spec.algebra, spec.F
     a, b, g = alpha.degree(), beta.degree(), gamma.degree()
     n = algebra.n
-    tphi = GradedElement.from_one_form(spec.phi).scale(T)
+    tphi = spec.tphi
     dtphi = d(algebra, tphi)
 
     def sgn(exponent: int) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import qlinalg
@@ -111,6 +111,10 @@ class DeformationSpec:
     F: FSpec
     phi: OneForm
     phi_closed: bool
+    tphi: GradedElement = field(init=False, repr=False, compare=False)  # t * phi as a 1-form
+
+    def __post_init__(self):
+        object.__setattr__(self, "tphi", GradedElement.from_one_form(self.phi).scale(T))
 
     @classmethod
     def standard(cls, algebra: LieAlgebraSpec, phi: OneForm, warn: bool = True) -> "DeformationSpec":
@@ -162,8 +166,7 @@ def form_bracket(spec: DeformationSpec, alpha: GradedElement, beta: GradedElemen
         # beyond a+b+1 > n the wedge vanishes and F need not be defined
         coeff = spec.F.value(a, b)
         if coeff:
-            tphi = GradedElement.from_one_form(spec.phi).scale(T)
-            result = result + alpha.wedge(tphi).wedge(beta).scale(coeff)
+            result = result + alpha.wedge(spec.tphi).wedge(beta).scale(coeff)
     return result
 
 

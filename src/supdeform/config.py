@@ -79,7 +79,6 @@ def load_config(path: str) -> RunConfig:
     section = None
     dim = None
     names = None
-    dual_names = None
     bracket_entries: list[tuple[int, int, int, int, Fraction]] = []  # lineno, i, j, k, c
     phi_coeffs = None
     kind = None
@@ -117,8 +116,6 @@ def load_config(path: str) -> RunConfig:
                     _fail(lineno, f"dim must be an integer, got {value!r}")
             elif key == "names":
                 names = value.split()
-            elif key == "dual_names":
-                dual_names = value.split()
             else:
                 _fail(lineno, f"unknown key {key!r} in [algebra]")
         elif section == "phi":
@@ -200,7 +197,7 @@ def load_config(path: str) -> RunConfig:
         structure[(i, j, k)] = c
 
     try:
-        algebra = LieAlgebraSpec(dim, structure, names=names, dual_names=dual_names)
+        algebra = LieAlgebraSpec(dim, structure, names=names)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

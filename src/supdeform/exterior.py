@@ -202,28 +202,25 @@ def ce_differential(spec: LieAlgebraSpec, k: int) -> GradedElement:
     """d zeta_k = -sum_{i<j} c^k_ij zeta_i ^ zeta_j."""
     if not 1 <= k <= spec.n:
         raise IndexError(f"basis index {k} out of range 1..{spec.n}")
-    terms = {}
-    for (i, j), row in spec.structure.items():
-        c = row.get(k)
-        if c:
-            terms[(i, j)] = -c
-    return GradedElement(FORM, spec.n, terms)
+    return GradedElement(FORM, spec.n, spec.differential[k])
 
 
 def d(spec: LieAlgebraSpec, alpha: GradedElement) -> GradedElement:
-    """Chevalley-Eilenberg differential, extended to all forms as a derivation."""
+    """Chevalley-Eilenberg differential, extended to all forms as a derivation:
+    d(zeta_i1 ^ ... ^ zeta_ia) = sum_s (-1)^(s-1) d(zeta_is) ^ (omit s)."""
     if alpha.kind != FORM:
         raise ValueError("d expects a form")
-    result = GradedElement.zero(FORM, spec.n)
+    terms: dict[tuple[int, ...], PolyT] = {}
     for ids, coeff in alpha.terms.items():
         for s, idx in enumerate(ids):
-            rest = GradedElement.monomial(FORM, spec.n, ids[:s] + ids[s + 1 :], coeff)
-            dz = ce_differential(spec, idx)
-            if dz.is_zero():
-                continue
-            term = dz.wedge(rest)
-            result = result + (term if s % 2 == 0 else -term)
-    return result
+            rest = ids[:s] + ids[s + 1 :]
+            for pair, c in spec.differential[idx].items():
+                merged = _merge_tuples(pair, rest)
+                if merged is not None:
+                    sign, out = merged
+                    add = coeff * c
+                    add_term(terms, out, add if sign * (-1) ** s > 0 else -add)
+    return alpha.like(terms)
 
 
 def is_closed(spec: LieAlgebraSpec, phi: OneForm) -> bool:

@@ -8,9 +8,9 @@ Q[t].  Its rank is the generic rank, and its last pivot, a nonzero maximal
 minor (Sylvester's identity), is kept for the special locus.  Every
 condition where some rank drops divides some last pivot, so the candidates
 are the factors of the last pivots, made pairwise coprime by splitting off
-shared factors.  One pass (``_special_ranks``)
-computes the exact ranks on each candidate: by exact substitution at a
-rational root, over the quotient ring Q[t]/(p) otherwise, and only for the
+shared factors.  One pass (``_special_ranks``) computes the exact ranks on
+each candidate with ``qlinalg.echelon``: by exact substitution at a rational
+root, over the quotient ring Q[t]/(p) otherwise, and only for the
 matrices whose last pivot shares a factor with the candidate; every other
 matrix keeps its generic rank there.  A candidate is special exactly when
 some rank drops, and those ranks are the ones the Betti report prints, so
@@ -32,6 +32,7 @@ from itertools import combinations
 from math import lcm
 from typing import Iterator, Optional
 
+from . import qlinalg
 from .chains import ChainComplexSystem, SuperWord
 from .scalars import ONE, PolyT, ZERO, add_term, format_rational, irreducible_factors, poly_gcd, poly_xgcd
 
@@ -75,10 +76,7 @@ def boundary_matrix(system: ChainComplexSystem, m: int, w: int) -> BoundaryMatri
     return BoundaryMatrix(m, w, rows, cols, entries)
 
 
-Elimination = tuple[int, list[PolyT]]
-
-
-def bareiss(entries: list[list[PolyT]]) -> Elimination:
+def bareiss(entries: list[list[PolyT]]) -> tuple[int, list[PolyT]]:
     """Fraction-free elimination; returns (rank, pivot sequence) over Q[t].
 
     Each row is first scaled by the lcm of its coefficient denominators, and
@@ -245,7 +243,7 @@ class FactorSplit(Exception):
 def rank_at_rational(entries: list[list[PolyT]], t0: Fraction) -> int:
     zero = Fraction(0)
     rows = [[e(t0) if e else zero for e in row] for row in entries]
-    return _forward_rank(rows, lambda x: 1 / x)
+    return len(qlinalg.echelon(rows, lambda x: 1 / x)[1])
 
 
 def rank_modulo(entries: list[list[PolyT]], p: PolyT) -> int:
@@ -263,52 +261,13 @@ def rank_modulo(entries: list[list[PolyT]], p: PolyT) -> int:
             raise FactorSplit(g)
         return s  # s * x == 1 (mod p) since the xgcd is normalized monic
 
-    return _forward_rank([[e % p for e in row] for row in entries], inverse, lambda x: x % p)
+    return len(qlinalg.echelon([[e % p for e in row] for row in entries], inverse, lambda x: x % p)[1])
 
 
-def _forward_rank(rows: list[list], inverse, reduce=None) -> int:
-    """Rank of the rows over a field, eliminating in place.
-
-    Each pivot (the first nonzero entry of its column, as in Gauss-Jordan)
-    clears only the rows below it, and only on its own row's support.
-    ``inverse`` inverts a nonzero entry, ``reduce`` (if given) brings a
-    computed entry to normal form; a zero entry is falsy.
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pivot_row = rows[r]
-        inv = inverse(pivot_row[c])
-        support = [j for j in range(c + 1, ncols) if pivot_row[j]]
-        for row in rows[r + 1 :]:
-            if row[c]:
-                f = row[c] * inv
-                if reduce is None:
-                    for j in support:
-                        row[j] -= f * pivot_row[j]
-                else:
-                    f = reduce(f)
-                    for j in support:
-                        row[j] = reduce(row[j] - f * pivot_row[j])
-        r += 1
-    return r
-
-
-def special_locus_for_matrix(entries: list[list[PolyT]], elimination: Optional[Elimination] = None) -> list[PolyT]:
-    """Monic squarefree conditions where this matrix's rank drops.
-
-    ``elimination`` is the matrix's ``bareiss`` result when the caller has
-    it; otherwise the matrix is eliminated here, once.  This is the
-    one-matrix case of ``_special_ranks``.
-    """
-    rank, pivots = elimination if elimination is not None else bareiss(entries)
+def special_locus_for_matrix(entries: list[list[PolyT]]) -> list[PolyT]:
+    """Monic squarefree conditions where this matrix's rank drops, from one
+    elimination; the one-matrix case of ``_special_ranks``."""
+    rank, pivots = bareiss(entries)
     return [cond for cond, _ in _special_ranks([entries], [rank], [pivots[-1] if rank else ONE])]
 
 
@@ -406,10 +365,14 @@ class SpecialCase:
     """Ranks, kernels, and Betti numbers on one component of the locus."""
 
     condition: PolyT
-    point: Optional[Fraction]  # the rational root for linear conditions
     ranks: list[int]
     kernels: list[int]
     betti: list[int]
+
+    @property
+    def point(self) -> Optional[Fraction]:
+        """The rational root of a linear condition (monic t - point), else None."""
+        return -self.condition.coeffs[0] if self.condition.degree == 1 else None
 
     def label(self) -> str:
         if self.point is not None:
@@ -436,8 +399,12 @@ class BettiReport:
     generic_ranks: list[int]
     generic_kernels: list[int]
     generic_betti: list[int]
-    locus: list[PolyT]
     special: list[SpecialCase] = field(default_factory=list)
+
+    @property
+    def locus(self) -> list[PolyT]:
+        """The special conditions, in order."""
+        return [case.condition for case in self.special]
 
     def to_json(self) -> dict:
         return {
@@ -500,10 +467,8 @@ def betti_piecewise(system: ChainComplexSystem, w: int, max_degree: Optional[int
             raise RuntimeError("specialized rank exceeds generic rank")
         kernels, betti = _betti_from_ranks(dims, ranks)
         _check_euler(dims, betti, f"{cond} = 0, weight {w}")
-        point = -cond.coeffs[0] if cond.degree == 1 else None  # monic t - point
-        special.append(SpecialCase(cond, point, ranks, kernels, betti))
-    locus = [case.condition for case in special]
-    return BettiReport(w, degrees, dims, gen_ranks, gen_kernels, gen_betti, locus, special)
+        special.append(SpecialCase(cond, ranks, kernels, betti))
+    return BettiReport(w, degrees, dims, gen_ranks, gen_kernels, gen_betti, special)
 
 
 def _check_complex(matrices: list[BoundaryMatrix]):

@@ -75,9 +75,11 @@ class LieAlgebraSpec:
 
     Only i < j is stored; the antisymmetric values are derived.  The Jacobi
     identity is *validated* by ``validate_jacobi``, not assumed.
+    ``differential[k]`` is d zeta_k = -sum_{i<j} c^k_ij zeta_i ^ zeta_j as
+    the sparse map (i, j) -> -c^k_ij.
     """
 
-    def __init__(self, n: int, structure: dict, names=None, dual_names=None):
+    def __init__(self, n: int, structure: dict, names=None):
         if n <= 0:
             raise ValueError("dimension must be positive")
         self.n = n
@@ -96,10 +98,13 @@ class LieAlgebraSpec:
             if c != 0:
                 row[k] = c
         self.structure = {ij: row for ij, row in table.items() if row}
+        self.differential: dict[int, dict[tuple[int, int], Fraction]] = {k: {} for k in range(1, n + 1)}
+        for ij, row in self.structure.items():
+            for k, c in row.items():
+                self.differential[k][ij] = -c
         self.names = tuple(names) if names else tuple(f"y{i}" for i in range(1, n + 1))
-        self.dual_names = tuple(dual_names) if dual_names else tuple(f"z{i}" for i in range(1, n + 1))
-        if len(self.names) != n or len(self.dual_names) != n:
-            raise ValueError("need exactly n basis names and n dual names")
+        if len(self.names) != n:
+            raise ValueError("need exactly n basis names")
 
     def c(self, i: int, j: int, k: int) -> Fraction:
         """Structure constant c^k_ij, antisymmetric in (i, j)."""

@@ -11,7 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supdeform import homology, qlinalg
+from supdeform import homology
 from supdeform.brackets import DeformationSpec, FSpec
 from supdeform.chains import ChainComplexSystem, ChainElement
 from supdeform.cli import main
@@ -418,8 +418,9 @@ def test_forward_rank_modulo_matches_gauss_jordan_reference(entries, p):
     st.sampled_from([Fraction(0), Fraction(-1), Fraction(1, 2), Fraction(-2, 3)]),
 )
 def test_forward_rank_at_rational_matches_rref(entries, t0):
-    rows = [[e(t0) for e in row] for row in entries]
-    assert rank_at_rational(entries, t0) == len(qlinalg.rref(rows)[0])
+    """Against sympy's rref, which shares no code with ``qlinalg.echelon``."""
+    rows = [[sympy.Rational(e(t0).numerator, e(t0).denominator) for e in row] for row in entries]
+    assert rank_at_rational(entries, t0) == len(sympy.Matrix(rows).rref()[1])
 
 
 def _product(conditions):
@@ -552,19 +553,6 @@ def test_betti_piecewise_eliminates_each_matrix_once(monkeypatch):
     assert [str(p) for p in report.locus] == ["t"]
     assert report.generic_betti == [0, 0, 3, 6, 3, 0, 0, 0]
     assert [(case.label(), case.betti) for case in report.special] == [("t = 0", [0, 0, 4, 9, 6, 1, 0, 0])]
-
-
-def test_special_locus_for_matrix_reuses_given_elimination(sys_ext, monkeypatch):
-    M = boundary_matrix(sys_ext, 3, -3)
-    elimination = bareiss(M.entries)
-    expected = special_locus_for_matrix(M.entries)
-
-    def no_elimination(_entries):
-        raise AssertionError("eliminated again")
-
-    monkeypatch.setattr(homology, "bareiss", no_elimination)
-    assert special_locus_for_matrix(M.entries, elimination) == expected
-    assert [str(p) for p in expected] == ["t", "2/3 + t"]
 
 
 def test_check_complex_raises_on_nonzero_composite():
