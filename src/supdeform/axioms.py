@@ -331,9 +331,33 @@ def _solve_f_system(N: int, rows: list[list[Fraction]], constraints: str) -> FSo
     return FSolutionSpace(N, constraints, basis)
 
 
-def _add_coeff(row, index, a, b, coeff):
-    key = (a, b) if a <= b else (b, a)
-    row[index[key]] += coeff
+def _condition_rows(N: int, closed: bool) -> list[list[Fraction]]:
+    """The condition rows of ``solve_F_closed`` (closed) or
+    ``solve_F_nonclosed``, one set per sorted triple a <= b <= c: a permuted
+    triple gives the same rows."""
+    if N < 2:
+        raise ValueError("grid bound too small to impose any condition")
+    variables = _grid_variables(N)
+    index = {v: i for i, v in enumerate(variables)}
+
+    def row(plus, minus=()) -> list[Fraction]:
+        out = [Fraction(0)] * len(variables)
+        for pairs, sign in ((plus, 1), (minus, -1)):
+            for x, y in pairs:
+                out[index[(x, y) if x <= y else (y, x)]] += sign
+        return out
+
+    rows = []
+    for a in range(N + 1):
+        for b in range(a, N + 1 - a):
+            for c in range(b, N + 1 - b):  # so a + b, b + c and c + a are <= N
+                cyclic = ((a, b), (b, c), (c, a))
+                if a + b + c < N:  # all shifted pairs have coordinate sum <= N
+                    shifted = [(1 + b + c, a), (1 + c + a, b), (1 + a + b, c)]
+                    rows += [row(shifted[:k] + shifted[k + 1 :], cyclic if closed else ()) for k in range(3)]
+                if not closed:
+                    rows.append(row(cyclic))
+    return rows
 
 
 def solve_F_closed(N: int) -> FSolutionSpace:
@@ -343,25 +367,7 @@ def solve_F_closed(N: int) -> FSolutionSpace:
 
     and its two cyclic partners.  The expected solution line is kappa*(a+b+2).
     """
-    if N < 2:
-        raise ValueError("grid bound too small to impose any condition")
-    variables = _grid_variables(N)
-    index = {v: i for i, v in enumerate(variables)}
-    rows = []
-    for a in range(N):
-        for b in range(N - a):
-            for c in range(N - a - b):
-                # all six argument pairs have coordinate sum a+b+c or a+b+c+1 <= N
-                shifted = [(1 + b + c, a), (1 + c + a, b), (1 + a + b, c)]
-                for drop in range(3):
-                    row = [Fraction(0)] * len(variables)
-                    for k, pair in enumerate(shifted):
-                        if k != drop:
-                            _add_coeff(row, index, *pair, Fraction(1))
-                    for pair in ((a, b), (b, c), (c, a)):
-                        _add_coeff(row, index, *pair, Fraction(-1))
-                    rows.append(row)
-    return _solve_f_system(N, rows, "closed")
+    return _solve_f_system(N, _condition_rows(N, closed=True), "closed")
 
 
 def solve_F_nonclosed(N: int) -> FSolutionSpace:
@@ -372,28 +378,7 @@ def solve_F_nonclosed(N: int) -> FSolutionSpace:
 
     which force F = 0.
     """
-    if N < 2:
-        raise ValueError("grid bound too small to impose any condition")
-    variables = _grid_variables(N)
-    index = {v: i for i, v in enumerate(variables)}
-    rows = []
-    for a in range(N + 1):
-        for b in range(N + 1):
-            for c in range(N + 1):
-                shifted = [(1 + b + c, a), (1 + c + a, b), (1 + a + b, c)]
-                if a + b + c + 1 <= N:
-                    for drop in range(3):
-                        row = [Fraction(0)] * len(variables)
-                        for k, pair in enumerate(shifted):
-                            if k != drop:
-                                _add_coeff(row, index, *pair, Fraction(1))
-                        rows.append(row)
-                if a + b <= N and b + c <= N and c + a <= N:
-                    row = [Fraction(0)] * len(variables)
-                    for pair in ((a, b), (b, c), (c, a)):
-                        _add_coeff(row, index, *pair, Fraction(1))
-                    rows.append(row)
-    return _solve_f_system(N, rows, "nonclosed")
+    return _solve_f_system(N, _condition_rows(N, closed=False), "nonclosed")
 
 
 def satisfies_difference_identity(table: dict[tuple[int, int], Fraction], N: int) -> bool:

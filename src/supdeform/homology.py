@@ -7,21 +7,17 @@ pivots by the row scales gives back the pivots of the same elimination over
 Q[t].  Its rank is the generic rank, and its last pivot, a nonzero maximal
 minor (Sylvester's identity), is kept for the special locus.  Every
 condition where some rank drops divides some last pivot, so the candidates
-are the factors of the last pivots, made pairwise coprime by splitting off
-shared factors.  One pass (``_special_ranks``) computes the exact ranks on
-each candidate with ``qlinalg.echelon``: by exact substitution at a rational
-root, over the quotient ring Q[t]/(p) otherwise, and only for the
-matrices whose last pivot shares a factor with the candidate; every other
-matrix keeps its generic rank there.  A candidate is special exactly when
-some rank drops, and those ranks are the ones the Betti report prints, so
-the report's locus is the list of its special conditions.  If a supposedly
-irreducible p splits during an inversion, its pieces replace it (this cannot
-happen for conditions of degree <= 3, which are certified by the factoring
-routine).  The conditions are monic, squarefree and pairwise coprime, with
-constant ranks on each one's zero set.  The gcd of all maximal minors
-(``minors_gcd``) defines a matrix's locus; it forms every minor, so it
-serves only as the reference the tests compare against.  d.d = 0 is checked
-exactly on the column nonzeros.
+are the distinct irreducible factors over Q of the last pivots.  One pass
+(``_special_ranks``) computes the exact ranks on each candidate with
+``qlinalg.echelon``: by exact substitution at a rational root, over the
+field Q[t]/(p) otherwise, and only for the matrices whose last pivot it
+divides; every other matrix keeps its generic rank there.  A candidate is
+special exactly when some rank drops, and those ranks are the ones the Betti
+report prints, so the report's locus is the list of its special conditions:
+monic, irreducible and distinct, whatever the order of the bases.  The gcd
+of all maximal minors (``minors_gcd``) defines a matrix's locus; it forms
+every minor, so it serves only as the reference the tests compare against.
+d.d = 0 is checked exactly on the column nonzeros.
 """
 
 from __future__ import annotations
@@ -35,6 +31,7 @@ from typing import Iterator, Optional
 from . import qlinalg
 from .chains import ChainComplexSystem, SuperWord
 from .scalars import ONE, PolyT, ZERO, add_term, format_rational, irreducible_factors, poly_gcd, poly_xgcd
+from .scalars import _zexact_div, _zmul, _zsub  # the Z[t] arithmetic the factorization shares
 
 
 @dataclass
@@ -138,63 +135,6 @@ def bareiss(entries: list[list[PolyT]]) -> tuple[int, list[PolyT]]:
     return len(pivots), pivots
 
 
-def _zmul(a: tuple, b: tuple) -> tuple:
-    """Product of two nonzero integer coefficient tuples."""
-    if len(b) == 1:
-        b0 = b[0]
-        return a if b0 == 1 else tuple(b0 * x for x in a)
-    if len(a) == 1:
-        a0 = a[0]
-        return b if a0 == 1 else tuple(a0 * y for y in b)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return tuple(out)  # Z is a domain: the leading coefficient is nonzero
-
-
-def _zsub(a: tuple, b: tuple) -> tuple:
-    """a - b for integer coefficient tuples, without trailing zeros."""
-    out = list(a)
-    out.extend([0] * (len(b) - len(a)))
-    for k, y in enumerate(b):
-        out[k] -= y
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
-
-
-def _zexact_div(a: tuple, b: tuple) -> tuple:
-    """a / b in Z[t] for nonzero b, raising ArithmeticError on a remainder."""
-    if len(b) == 1:
-        d = b[0]
-        if d == 1:
-            return a
-        out = []
-        for x in a:
-            q, rem = divmod(x, d)
-            if rem:
-                raise ArithmeticError(f"{a} is not divisible by {b} in Z[t]")
-            out.append(q)
-        return tuple(out)
-    rem = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    quo = [0] * max(len(rem) - db, 0)
-    for k in range(len(quo) - 1, -1, -1):
-        # a floor quotient leaves rem[k + db] nonzero unless lead divides it,
-        # and no later step touches that coefficient again
-        q = rem[k + db] // lead
-        if q:
-            quo[k] = q
-            for j, y in enumerate(b):
-                rem[k + j] -= q * y
-    if any(rem):
-        raise ArithmeticError(f"{a} is not divisible by {b} in Z[t]")
-    return tuple(quo)
-
-
 def generic_rank(entries: list[list[PolyT]]) -> int:
     """Rank over the fraction field Q(t)."""
     return bareiss(entries)[0]
@@ -232,14 +172,6 @@ def minors_gcd(entries: list[list[PolyT]], r: int) -> PolyT:
     return g
 
 
-class FactorSplit(Exception):
-    """A modulus believed irreducible revealed a proper factor."""
-
-    def __init__(self, factor: PolyT):
-        super().__init__(f"modulus splits off {factor}")
-        self.factor = factor
-
-
 def rank_at_rational(entries: list[list[PolyT]], t0: Fraction) -> int:
     zero = Fraction(0)
     rows = [[e(t0) if e else zero for e in row] for row in entries]
@@ -247,25 +179,21 @@ def rank_at_rational(entries: list[list[PolyT]], t0: Fraction) -> int:
 
 
 def rank_modulo(entries: list[list[PolyT]], p: PolyT) -> int:
-    """Rank over Q[t]/(p) for monic p of degree >= 1.
-
-    Requires p irreducible to be a field; a pivot whose gcd with p is proper
-    raises FactorSplit so the caller can refine the condition.
-    """
+    """Rank over the field Q[t]/(p), for p monic and irreducible over Q."""
     if p.degree < 1:
         raise ValueError("modulus must have degree >= 1")
 
     def inverse(x: PolyT) -> PolyT:
         g, s, _ = poly_xgcd(x, p)
         if g.degree > 0:
-            raise FactorSplit(g)
+            raise RuntimeError(f"{p} is reducible: it shares the factor {g} with a pivot")
         return s  # s * x == 1 (mod p) since the xgcd is normalized monic
 
     return len(qlinalg.echelon([[e % p for e in row] for row in entries], inverse, lambda x: x % p)[1])
 
 
 def special_locus_for_matrix(entries: list[list[PolyT]]) -> list[PolyT]:
-    """Monic squarefree conditions where this matrix's rank drops, from one
+    """Monic irreducible conditions where this matrix's rank drops, from one
     elimination; the one-matrix case of ``_special_ranks``."""
     rank, pivots = bareiss(entries)
     return [cond for cond, _ in _special_ranks([entries], [rank], [pivots[-1] if rank else ONE])]
@@ -277,30 +205,18 @@ def _special_ranks(
     """Each condition where some rank leaves its generic value, with the
     ranks of all matrices there, sorted.
 
-    The candidates are the factors of the last pivots, joined by
-    ``_add_coprime``.  A last pivot is a nonzero maximal minor (Sylvester's
-    identity), so it is nonzero at every root of a coprime candidate: such a
-    matrix keeps its generic rank there and is not eliminated.  A candidate
-    that splits while a rank is computed is replaced by its pieces (dynamic
-    evaluation); this is the only place a split is caught.
+    The candidates are the distinct irreducible factors of the last pivots.
+    A last pivot is a nonzero maximal minor (Sylvester's identity), so it is
+    nonzero at every root of a candidate that does not divide it: such a
+    matrix keeps its generic rank there and is not eliminated.
     """
-    candidates: list[PolyT] = []
-    for pivot in last_pivots:
-        if pivot.degree >= 1:
-            for factor in irreducible_factors(pivot):
-                _add_coprime(candidates, factor)
+    candidates = {factor for pivot in last_pivots if pivot.degree >= 1 for factor in irreducible_factors(pivot)}
     special = []
-    while candidates:
-        cond = candidates.pop()
-        try:
-            ranks = [
-                _rank_at(entries, cond) if poly_gcd(cond, pivot).degree >= 1 else rank
-                for entries, rank, pivot in zip(matrices, generic, last_pivots)
-            ]
-        except FactorSplit as split:
-            for piece in irreducible_factors(split.factor) + irreducible_factors(cond.exact_div(split.factor)):
-                _add_coprime(candidates, piece)
-            continue
+    for cond in candidates:
+        ranks = [
+            _rank_at(entries, cond) if (pivot % cond).is_zero() else rank
+            for entries, rank, pivot in zip(matrices, generic, last_pivots)
+        ]
         if ranks != generic:  # a rank can only fall; betti_piecewise checks that
             special.append((cond, ranks))
     return sorted(special, key=lambda case: _poly_sort_key(case[0]))
@@ -336,23 +252,6 @@ def _ranks_and_locus(matrices: list[BoundaryMatrix]) -> tuple[list[int], list[tu
         ranks.append(rank)
         last_pivots.append(pivots[-1] if rank else ONE)
     return ranks, _special_ranks([M.entries for M in matrices], ranks, last_pivots)
-
-
-def _add_coprime(conditions: list[PolyT], p: PolyT):
-    """Add the monic squarefree p to pairwise coprime monic conditions,
-    splitting off a shared factor so that they stay pairwise coprime (two
-    matrices may report a reducible condition and one of its factors)."""
-    pending = [p]
-    while pending:
-        p = pending.pop()
-        for i, q in enumerate(conditions):
-            g = poly_gcd(p, q)
-            if g.degree >= 1:
-                del conditions[i]
-                pending += [f for f in (g, p.exact_div(g), q.exact_div(g)) if f.degree >= 1]
-                break
-        else:
-            conditions.append(p)
 
 
 def special_locus(system: ChainComplexSystem, w: int, max_degree: Optional[int] = None) -> list[PolyT]:

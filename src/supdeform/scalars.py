@@ -4,13 +4,20 @@ Everything downstream (brackets, boundary matrices, Betti numbers) depends on
 exact vanishing of polynomial coefficients such as 2+3t, so there is no
 floating point anywhere in this package.  Rationals are stdlib ``Fraction``;
 polynomials are dense coefficient tuples (degrees stay tiny in practice).
+Factoring over Q is complete (Berlekamp-Hensel-Zassenhaus over Z), so the
+conditions of a special locus are irreducible; it shares the arithmetic of
+integer coefficient tuples with the Bareiss elimination over Z[t].
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from functools import reduce
+from itertools import combinations, count
+from math import gcd, isqrt, lcm
 from typing import Iterable
+
+from . import qlinalg
 
 Rational = Fraction
 
@@ -349,46 +356,6 @@ def poly_xgcd(p: PolyT, q: PolyT):
     return a.monic(), scale * ua, scale * va
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    return small + large[::-1]
-
-
-def rational_roots(p: PolyT) -> set[Fraction]:
-    """All rational roots of p, via the rational root theorem.
-
-    Raises on the zero polynomial (every t would be a root).
-    """
-    if p.is_zero():
-        raise ValueError("rational_roots of the zero polynomial")
-    roots: set[Fraction] = set()
-    coeffs = list(p.coeffs)
-    # strip t^k so the constant term is nonzero
-    k = 0
-    while coeffs[k] == 0:
-        k += 1
-    if k > 0:
-        roots.add(Fraction(0))
-        coeffs = coeffs[k:]
-    if len(coeffs) == 1:
-        return roots
-    # primitive integer form
-    denom_lcm = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * denom_lcm) for c in coeffs]
-    for num in _divisors(ints[0]):
-        for den in _divisors(ints[-1]):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if cand not in roots and p(cand) == 0:
-                    roots.add(cand)
-    return roots
-
-
 def squarefree_part(p: PolyT) -> PolyT:
     """Monic squarefree part p / gcd(p, p')."""
     if p.is_zero():
@@ -400,27 +367,208 @@ def squarefree_part(p: PolyT) -> PolyT:
 
 
 def irreducible_factors(p: PolyT) -> list[PolyT]:
-    """Distinct monic irreducible factors of a nonzero p, ignoring multiplicity.
+    """Distinct monic irreducible factors over Q of a nonzero p, sorted by
+    degree and then coefficients.
 
-    Rational roots give the linear factors.  A root-free residual of degree
-    <= 3 is irreducible over Q.  Residuals of degree >= 4 are returned
-    squarefree and coprime to the rest but may in principle still split;
-    callers that need a field refine them lazily (see homology.rank_modulo).
+    Berlekamp-Hensel-Zassenhaus (von zur Gathen & Gerhard, *Modern Computer
+    Algebra*, ch. 14-15) on the squarefree part, as a primitive integer
+    polynomial f: factor f modulo the least prime that keeps it squarefree,
+    lift those factors past the Mignotte bound, and recombine them.
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     work = squarefree_part(p)
-    factors = []
-    for root in sorted(rational_roots(work)):
-        lin = PolyT((-root, 1))
-        factors.append(lin)
-        while True:
-            q, r = divmod(work, lin)
-            if r.is_zero():
-                work = q
-            else:
+    n = work.degree
+    if n < 2:
+        return [work] if n == 1 else []
+    # work is monic, so f is primitive: for each prime q | denom, the
+    # coefficient whose denominator holds all of denom's q-part turns prime to q
+    denom = lcm(*(c.denominator for c in work.coeffs))
+    f = tuple(c.numerator * (denom // c.denominator) for c in work.coeffs)
+    derivative = tuple(k * c for k, c in enumerate(f))[1:]
+    for prime in count(2):
+        if denom % prime and all(prime % d for d in range(2, isqrt(prime) + 1)):
+            if len(_pgcd(_ptrim(f, prime), _ptrim(derivative, prime), prime)) == 1:
                 break
-    if work.degree >= 1:
-        factors.append(work.monic())
-    factors.sort(key=lambda f: (f.degree, f.coeffs))
+    inv = pow(denom, -1, prime)
+    modular = _berlekamp(_ptrim([c * inv for c in f], prime), prime)
+    if len(modular) == 1:
+        return [work]
+    # a factor g of f has |coefficients| <= 2^deg(g) ||f||_2 (Mignotte), so
+    # those of denom * g / lc(g), which recombination builds, are <= bound
+    bound = denom * 2**n * (isqrt(n + 1) + 1) * max(map(abs, f))
+    lifted, m = _hensel_lift(f, modular, prime, bound)
+    factors = [PolyT._wrap(tuple(Fraction(c, g[-1]) for c in g)) for g in _recombine(f, lifted, m)]
+    return sorted(factors, key=lambda g: (g.degree, g.coeffs))
+
+
+def rational_roots(p: PolyT) -> set[Fraction]:
+    """The rational roots of a nonzero p: those of its linear factors."""
+    return {-f.coeffs[0] for f in irreducible_factors(p) if f.degree == 1}
+
+
+# Integer coefficient tuples, ascending in t: Z[t] for the Bareiss elimination
+# and the factorization, and F_p[t] (coefficients in [0, p), no trailing zeros).
+def _zmul(a: tuple, b: tuple) -> tuple:
+    """Product of two nonzero integer coefficient tuples."""
+    if len(b) == 1:
+        b0 = b[0]
+        return a if b0 == 1 else tuple(b0 * x for x in a)
+    if len(a) == 1:
+        a0 = a[0]
+        return b if a0 == 1 else tuple(a0 * y for y in b)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)  # Z is a domain: the leading coefficient is nonzero
+
+
+def _zsub(a: tuple, b: tuple) -> tuple:
+    """a - b for integer coefficient tuples, without trailing zeros."""
+    out = list(a)
+    out.extend([0] * (len(b) - len(a)))
+    for k, y in enumerate(b):
+        out[k] -= y
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _zexact_div(a: tuple, b: tuple) -> tuple:
+    """a / b in Z[t] for nonzero b, raising ArithmeticError on a remainder."""
+    if len(b) == 1:
+        d = b[0]
+        if d == 1:
+            return a
+        out = []
+        for x in a:
+            q, rem = divmod(x, d)
+            if rem:
+                raise ArithmeticError(f"{a} is not divisible by {b} in Z[t]")
+            out.append(q)
+        return tuple(out)
+    rem = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    quo = [0] * max(len(rem) - db, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        # a floor quotient leaves rem[k + db] nonzero unless lead divides it,
+        # and no later step touches that coefficient again
+        q = rem[k + db] // lead
+        if q:
+            quo[k] = q
+            for j, y in enumerate(b):
+                rem[k + j] -= q * y
+    if any(rem):
+        raise ArithmeticError(f"{a} is not divisible by {b} in Z[t]")
+    return tuple(quo)
+
+
+def _ptrim(a, p: int) -> tuple:
+    """The coefficients of a reduced modulo p, without trailing zeros."""
+    out = [x % p for x in a]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _pmod(a: tuple, m: tuple, p: int) -> tuple:
+    """a (any integer coefficients) modulo the nonzero m in F_p[t]."""
+    rem, dm, inv = list(a), len(m) - 1, pow(m[-1], -1, p)
+    for k in range(len(rem) - 1 - dm, -1, -1):
+        q = rem[k + dm] * inv % p
+        if q:
+            for j, y in enumerate(m):
+                rem[k + j] -= q * y
+    return _ptrim(rem, p)
+
+
+def _pgcd(a: tuple, b: tuple, p: int) -> tuple:
+    """Monic gcd in F_p[t] of a nonzero a and any b."""
+    while b:
+        a, b = b, _pmod(a, b, p)
+    inv = pow(a[-1], -1, p)
+    return tuple(x * inv % p for x in a)
+
+
+def _ppowmod(a: tuple, e: int, m: tuple, p: int) -> tuple:
+    """a^e modulo m in F_p[t], for a nonzero a and a squarefree m."""
+    out = (1,)
+    while e:
+        if e & 1:
+            out = _pmod(_zmul(out, a), m, p)
+        a = _pmod(_zmul(a, a), m, p)
+        e >>= 1
+    return out
+
+
+def _berlekamp(f: tuple, p: int) -> list[tuple]:
+    """Monic irreducible factors modulo the prime p of a monic squarefree f.
+
+    The g with g^p = g mod f are the left kernel of the rows t^(ip) - t^i
+    mod f; ``qlinalg.echelon`` of those rows, each followed by the identity
+    row e_i, leaves a basis of it in the rows whose first part it clears.
+    Its dimension is the number of factors, and gcd(f, g - s) splits f."""
+    n = len(f) - 1
+    rows = []
+    for i in range(n):
+        power = _ppowmod((0, 1), i * p, f, p)
+        row = list(power) + [0] * (2 * n - len(power))
+        row[i] -= 1
+        row[n + i] = 1
+        rows.append([x % p for x in row])
+    reduced, pivots = qlinalg.echelon(rows, lambda x: pow(x, -1, p), lambda x: x % p)
+    kernel = [_ptrim(row[n:], p) for row, c in zip(reduced, pivots) if c >= n]
+    factors = [f]
+    for g in kernel:
+        if len(factors) == len(kernel):
+            break
+        # pairwise coprime pieces, since g^p - g = prod_s (g - s)
+        factors = [h for a in factors for s in range(p) if len(h := _pgcd(a, _ptrim((g[0] - s,) + g[1:], p), p)) > 1]
     return factors
+
+
+def _hensel_lift(f: tuple, factors: list[tuple], p: int, bound: int) -> tuple[list[tuple], int]:
+    """(The factors g_i of f modulo p, lifted to factors modulo q, q): one
+    p-adic digit per step until q > 2 * bound.  With a_i the inverse of
+    prod_{j != i} g_j modulo g_i, adding q (a_i e / lc(f) mod g_i) to each
+    g_i, where f - lc(f) prod g_i = q e, makes the product exact modulo q p."""
+    inverses = []
+    for i, g in enumerate(factors):
+        rest = _pmod(reduce(_zmul, factors[:i] + factors[i + 1 :], (1,)), g, p)
+        inverses.append(_ppowmod(rest, p ** (len(g) - 1) - 2, g, p))
+    inv_lead = pow(f[-1], -1, p)
+    lifted, q = list(factors), p
+    while q <= 2 * bound:
+        product = reduce(_zmul, lifted, (f[-1],))
+        e = _ptrim([(x - y) // q * inv_lead for x, y in zip(f, product)], p)
+        if e:
+            steps = [_pmod(_zmul(e, a), g, p) + (0,) * len(g) for g, a in zip(factors, inverses)]
+            lifted = [tuple(x + q * y for x, y in zip(g, step)) for g, step in zip(lifted, steps)]
+        q *= p
+    return lifted, q
+
+
+def _recombine(f: tuple, lifted: list[tuple], m: int) -> list[tuple]:
+    """The irreducible factors of f over Z, from its monic factors modulo m:
+    the primitive part of lc(f) times each subset's product, in symmetric
+    residues, smallest subsets first, is kept where it divides f exactly."""
+    found, size = [], 1
+    while 2 * size <= len(lifted):
+        for subset in combinations(range(len(lifted)), size):
+            candidate = reduce(_zmul, [lifted[i] for i in subset], (f[-1],))
+            candidate = [x % m - m if x % m > m // 2 else x % m for x in candidate]
+            content = gcd(*candidate)
+            candidate = tuple(x // content for x in candidate)
+            try:
+                f = _zexact_div(f, candidate)
+            except ArithmeticError:
+                continue
+            found.append(candidate)
+            lifted = [g for i, g in enumerate(lifted) if i not in subset]
+            break
+        else:
+            size += 1
+    return found + [f]

@@ -12,6 +12,8 @@ import sympy
 from supdeform.axioms import (
     BasisItem,
     BracketSystem,
+    _grid_variables,
+    _solve_f_system,
     check_superjacobi,
     check_supersymmetry,
     extension_system,
@@ -358,6 +360,46 @@ def _sympy_nullspace_dim(N: int, closed: bool) -> int:
 def test_solution_space_dims_against_sympy(N):
     assert solve_F_closed(N).dimension == _sympy_nullspace_dim(N, closed=True)
     assert solve_F_nonclosed(N).dimension == _sympy_nullspace_dim(N, closed=False)
+
+
+def _ordered_triple_rows(N: int, closed: bool) -> list[list[Fraction]]:
+    """The condition rows as the solvers once built them: one set per
+    ordered triple (a, b, c), so permuted triples repeat rows."""
+    variables = _grid_variables(N)
+    index = {v: i for i, v in enumerate(variables)}
+
+    def add(row, a, b, coeff):
+        row[index[(a, b) if a <= b else (b, a)]] += coeff
+
+    rows = []
+    for a in range(N + 1):
+        for b in range(N + 1):
+            for c in range(N + 1):
+                shifted = [(1 + b + c, a), (1 + c + a, b), (1 + a + b, c)]
+                if a + b + c + 1 <= N:
+                    for drop in range(3):
+                        row = [Fraction(0)] * len(variables)
+                        for k, pair in enumerate(shifted):
+                            if k != drop:
+                                add(row, *pair, Fraction(1))
+                        if closed:
+                            for pair in ((a, b), (b, c), (c, a)):
+                                add(row, *pair, Fraction(-1))
+                        rows.append(row)
+                if not closed and a + b <= N and b + c <= N and c + a <= N:
+                    row = [Fraction(0)] * len(variables)
+                    for pair in ((a, b), (b, c), (c, a)):
+                        add(row, *pair, Fraction(1))
+                    rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("N", range(2, 11))
+def test_sorted_triple_rows_give_the_ordered_triple_answer(N):
+    for solver, closed in ((solve_F_closed, True), (solve_F_nonclosed, False)):
+        constraints = "closed" if closed else "nonclosed"
+        reference = _solve_f_system(N, _ordered_triple_rows(N, closed), constraints)
+        assert solver(N).to_json() == reference.to_json()
 
 
 def test_closed_solutions_satisfy_conditions_exactly():

@@ -144,11 +144,10 @@ def test_rank_specializations(sys_std):
 
 
 def test_rank_modulo_splits_reducible_modulus():
-    from supdeform.homology import FactorSplit
-
     entries = [[T]]
-    with pytest.raises(FactorSplit):
-        # t*(t+1) is reducible; eliminating t as a pivot reveals the factor
+    with pytest.raises(RuntimeError):
+        # t*(t+1) is reducible, so Q[t]/(t*(t+1)) is no field: the pivot t
+        # has no inverse there
         rank_modulo(entries, poly(0, 1, 1))
 
 
@@ -423,13 +422,6 @@ def test_forward_rank_at_rational_matches_rref(entries, t0):
     assert rank_at_rational(entries, t0) == len(sympy.Matrix(rows).rref()[1])
 
 
-def _product(conditions):
-    out = ONE
-    for p in conditions:
-        out = out * p
-    return out
-
-
 @st.composite
 def _locus_matrices(draw):
     """At most 4 x 4, entries of degree <= 2 and often zero; the last row is
@@ -449,11 +441,9 @@ def _locus_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(_locus_matrices())
 def test_verified_pivot_locus_matches_minors_reference(entries):
-    """Same linear conditions and the same product of the others: a
-    reducible minor gcd may come back split into its factors."""
-    locus, reference = special_locus_for_matrix(entries), _minors_locus(entries)
-    assert [p for p in locus if p.degree == 1] == [p for p in reference if p.degree == 1]
-    assert _product(p for p in locus if p.degree > 1) == _product(p for p in reference if p.degree > 1)
+    """The same irreducible conditions, in the same order."""
+    locus = special_locus_for_matrix(entries)
+    assert locus == _minors_locus(entries)
     for p in locus:
         assert p == p.monic() and poly_gcd(p, p.derivative()) == ONE
     for p, q in combinations(locus, 2):
@@ -463,24 +453,47 @@ def test_verified_pivot_locus_matches_minors_reference(entries):
 def test_verified_pivot_locus_splits_reducible_quartic():
     a, b = poly(Fraction(1, 2), 0, 1), poly(Fraction(2, 3), 0, 1)
     entries = [[a, ZERO], [ZERO, b]]
-    assert _minors_locus(entries) == [a * b]
+    assert _minors_locus(entries) == [a, b]
     assert special_locus_for_matrix(entries) == [a, b]
 
 
+@settings(max_examples=100, deadline=None)
+@given(_locus_matrices(), st.randoms(use_true_random=False))
+def test_special_locus_does_not_depend_on_basis_order(entries, rng):
+    rows, cols = list(range(len(entries))), list(range(len(entries[0])))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    permuted = [[entries[i][j] for j in cols] for i in rows]
+    assert [str(p) for p in special_locus_for_matrix(permuted)] == [str(p) for p in special_locus_for_matrix(entries)]
+
+
+def test_special_locus_of_a_permuted_matrix_pinned():
+    """The locus of this matrix once came back as the quintic product of its
+    two conditions after rows 0, 1 and columns 0, 1 were swapped."""
+    entries = [
+        [ZERO, poly(2, -3, -1)],
+        [poly(-1, -2, -3, 2), poly(-1, -3, 1, -1)],
+        [poly(1, 2, 3, -2), poly(-3, 9, 1, 1)],
+    ]
+    swapped = [[entries[i][j] for j in (1, 0)] for i in (1, 0, 2)]
+    expected = [poly(-2, 3, 1), poly(Fraction(-1, 2), -1, Fraction(-3, 2), 1)]
+    assert special_locus_for_matrix(entries) == expected
+    assert special_locus_for_matrix(swapped) == expected
+
+
 def test_locus_union_stays_pairwise_coprime():
-    """One matrix reports a reducible quartic whole, another one of its
-    factors; the union splits the shared factor off."""
+    """One matrix's last pivot is a reducible quartic, another's one of its
+    factors; the union holds each irreducible factor once."""
     a, b = poly(Fraction(1, 2), 0, 1), poly(Fraction(2, 3), 0, 1)
     whole = BoundaryMatrix(2, 0, ["u"], ["v"], [[a * b]])
     part = BoundaryMatrix(3, 0, ["v"], ["x"], [[a]])
-    assert special_locus_for_matrix(whole.entries) == [a * b]
+    assert special_locus_for_matrix(whole.entries) == [a, b]
     assert _ranks_and_locus([whole, part]) == ([1, 1], [(a, [0, 0]), (b, [0, 1])])
 
 
 def test_report_locus_is_its_special_conditions(monkeypatch):
-    """d_2 = [[a*b]] drops rank on a*b; d_4 = [[a], [1]] has last pivot 1, so
-    it keeps its rank there and is never reduced modulo a*b (which would
-    split a*b into a and b for the special cases only)."""
+    """d_2 = [[a*b]] drops rank on a and on b; d_4 = [[a], [1]] has last
+    pivot 1, so it keeps its rank there and is never reduced modulo a."""
     a, b = poly(Fraction(1, 2), 0, 1), poly(Fraction(2, 3), 0, 1)
     matrices = [
         BoundaryMatrix(1, 0, [], ["u"], []),
@@ -498,11 +511,11 @@ def test_report_locus_is_its_special_conditions(monkeypatch):
     monkeypatch.setattr(homology, "rank_modulo", recording)
     monkeypatch.setattr(homology, "boundary_matrices", lambda *_args: matrices)
     report = betti_piecewise(None, 0)
-    assert report.locus == [a * b]
+    assert report.locus == [a, b]
     assert [case.condition for case in report.special] == report.locus
-    assert report.special[0].ranks == [0, 0, 0, 1]
+    assert [case.ranks for case in report.special] == [[0, 0, 0, 1], [0, 0, 0, 1]]
     assert reduced and all(entries is not matrices[3].entries for entries in reduced)
-    assert special_locus(None, 0) == [a * b]
+    assert special_locus(None, 0) == [a, b]
 
 
 def test_betti_piecewise_eliminates_each_matrix_once(monkeypatch):

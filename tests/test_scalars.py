@@ -1,8 +1,10 @@
-"""Exact arithmetic: polynomial ring operations, gcd, rational roots, evaluation."""
+"""Exact arithmetic: polynomial ring operations, gcd, factoring, rational roots, evaluation."""
 
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -98,6 +100,43 @@ def test_squarefree_and_factors():
     assert factors == [T, poly(Fraction(2, 3), 1)]
     # a rational-root-free quadratic is irreducible over Q
     assert irreducible_factors(poly(1, 0, 1)) == [poly(1, 0, 1)]
+
+
+_quadratics_and_cubics = st.lists(st.integers(-5, 5), min_size=3, max_size=4).filter(lambda cs: cs[-1]).map(PolyT)
+
+
+def _sympy_factors(p: PolyT) -> list[PolyT]:
+    """The distinct monic factors of p from sympy's factor_list, sorted."""
+    t = sympy.Symbol("t")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * t**k for k, c in enumerate(p.coeffs))
+    monic = [sympy.Poly(f, t).monic().all_coeffs()[::-1] for f, _ in sympy.factor_list(expr, t)[1]]
+    return sorted((PolyT([Fraction(int(c.p), int(c.q)) for c in cs]) for cs in monic), key=lambda f: (f.degree, f.coeffs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_quadratics_and_cubics, min_size=1, max_size=3), st.data())
+def test_irreducible_factors_match_sympy(factors, data):
+    p = PolyT.const(data.draw(st.sampled_from([1, 2, Fraction(-3, 4)])))
+    for f in factors:
+        p = p * f
+    p = p * data.draw(st.sampled_from(factors))  # a repeated factor
+    assert irreducible_factors(p) == _sympy_factors(p)
+
+
+def test_swinnerton_dyer_octic_is_irreducible():
+    # the minimal polynomial of sqrt(2) + sqrt(3) + sqrt(5): it splits into
+    # factors of degree <= 2 modulo every prime
+    sd = poly(576, 0, -960, 0, 352, 0, -40, 0, 1)
+    assert irreducible_factors(sd) == [sd]
+    assert irreducible_factors(sd * poly(1, 0, -10, 0, 1)) == [poly(1, 0, -10, 0, 1), sd]
+
+
+def test_factoring_with_a_large_constant_is_fast():
+    quadratic = poly(10**30 + 3, 0, 1)
+    start = time.perf_counter()
+    assert irreducible_factors(quadratic * poly(-1, 3)) == [poly(Fraction(-1, 3), 1), quadratic]
+    assert time.perf_counter() - start < 1
+    assert rational_roots(quadratic * poly(-1, 3)) == {Fraction(1, 3)}
 
 
 def test_divmod_exactness():
