@@ -1,29 +1,42 @@
 """Boundary matrices over Q[t], parametric ranks, and piecewise Betti numbers.
 
-Each boundary matrix is eliminated once, fraction-free (Bareiss), skipping
-work on zero entries.  The elimination runs over Z[t], on integer coefficient
-tuples, after each row is scaled by the lcm of its denominators; dividing the
-pivots by the row scales gives back the pivots of the same elimination over
-Q[t].  Its rank is the generic rank, and its last pivot, a nonzero maximal
-minor (Sylvester's identity), is kept for the special locus.  Every
-condition where some rank drops divides some last pivot, so the candidates
-are the distinct irreducible factors over Q of the last pivots.  One pass
-(``_special_ranks``) computes the exact ranks on each candidate with
-``qlinalg.echelon``: by exact substitution at a rational root, over the
-field Q[t]/(p) otherwise, and only for the matrices whose last pivot it
-divides; every other matrix keeps its generic rank there.  A candidate is
-special exactly when some rank drops, and those ranks are the ones the Betti
-report prints, so the report's locus is the list of its special conditions:
-monic, irreducible and distinct, whatever the order of the bases.  The gcd
+Each boundary matrix is first reduced by its unit pivots (``_cancel_units``):
+while some entry is a nonzero constant, the one of least Markowitz cost
+clears its column over Q[t], and its row and column go.  A nonzero constant
+is invertible at every t and in every Q[t]/(p), so the rank of the matrix is
+k (the number of unit pivots) plus the rank of the Schur complement S left
+over, generically, at every point and modulo every condition; and each
+maximal minor of S is a maximal minor of the matrix divided by the product
+of the unit pivots, a nonzero constant.  This is the reduction of a chain
+complex by its invertible incidences.
+
+S, usually small, is then eliminated once, fraction-free (Bareiss), skipping
+work on zero entries.  The elimination runs over Z[t], on integer
+coefficient tuples, after each row is scaled by the lcm of its denominators;
+dividing the pivots by the row scales gives back the pivots of the same
+elimination over Q[t].  k plus its rank is the generic rank, and its last
+pivot, a nonzero maximal minor (Sylvester's identity), is kept for the
+special locus.  Every condition where some rank drops divides some last
+pivot, so the candidates are the distinct irreducible factors over Q of the
+last pivots.  One pass (``_special_ranks``) computes the exact ranks of the
+residuals on each candidate with ``qlinalg.echelon``: by exact substitution
+at a rational root, over the field Q[t]/(p) otherwise, and only for the
+residuals whose last pivot it divides; every other one keeps its generic
+rank there.  A candidate is special exactly when some rank drops, and those
+ranks (plus each k) are the ones the Betti report prints, so the report's
+locus is the list of its special conditions: monic, irreducible and
+distinct, whatever the order of the bases or of the unit pivots.  The gcd
 of all maximal minors (``minors_gcd``) defines a matrix's locus; it forms
-every minor, so it serves only as the reference the tests compare against.
-d.d = 0 is checked exactly on the column nonzeros.
+every minor, so it serves only as the reference the tests compare against,
+as ``bareiss`` on a whole matrix does for the ranks.  d.d = 0 is checked
+exactly on the column nonzeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import lcm
 from typing import Iterator, Optional
@@ -135,9 +148,73 @@ def bareiss(entries: list[list[PolyT]]) -> tuple[int, list[PolyT]]:
     return len(pivots), pivots
 
 
+def _cancel_units(entries: list[list[PolyT]]) -> tuple[int, list[list[PolyT]]]:
+    """(k, S): the number k of unit pivots cancelled, and the Schur
+    complement S left over, without its empty rows and columns.
+
+    While some entry is a nonzero constant a, the one of least Markowitz cost
+    (row nonzeros - 1) * (column nonzeros - 1), then least row and column,
+    is the pivot: each other row of its column takes away its entry / a
+    times the pivot row, over Q[t], and the pivot's row and column go.  The
+    costs sit in a heap; a pivot changes the costs of the entries of the
+    rows it cleared and of the columns of its row, which are pushed again,
+    and an entry popped with a cost other than its current one is stale.
+    S keeps the order of the rows and columns it has left.
+    """
+    rows = [{j: e for j, e in enumerate(row) if e.coeffs} for row in entries]  # no __bool__ call per entry
+    cols: list[set[int]] = [set() for _ in (entries[0] if entries else ())]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+
+    def cost(i: int, j: int) -> int:
+        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
+
+    heap = [(cost(i, j), i, j) for i, row in enumerate(rows) for j, e in row.items() if len(e.coeffs) == 1]
+    heapify(heap)
+    k = 0
+    while heap:
+        c, p, q = heappop(heap)
+        a = rows[p].get(q)
+        if a is None or len(a.coeffs) != 1 or c != cost(p, q):
+            continue
+        pivot_row, rows[p] = rows[p], {}
+        del pivot_row[q]
+        for j in pivot_row:
+            cols[j].discard(p)
+        cleared, cols[q] = cols[q], set()
+        cleared.discard(p)
+        inv = 1 / a.coeffs[0]
+        for i in cleared:
+            row = rows[i]
+            f = row.pop(q) * inv
+            for j, x in pivot_row.items():
+                y = row.get(j)
+                z = -(f * x) if y is None else y - f * x
+                if z:
+                    row[j] = z
+                    cols[j].add(i)
+                elif y is not None:
+                    del row[j]
+                    cols[j].discard(i)
+        k += 1
+        for i in cleared:
+            for j, e in rows[i].items():
+                if len(e.coeffs) == 1:
+                    heappush(heap, (cost(i, j), i, j))
+        for j in pivot_row:
+            for i in cols[j]:
+                if len(rows[i][j].coeffs) == 1:
+                    heappush(heap, (cost(i, j), i, j))
+    live = [row for row in rows if row]
+    kept = sorted({j for row in live for j in row})
+    return k, [[row.get(j, ZERO) for j in kept] for row in live]
+
+
 def generic_rank(entries: list[list[PolyT]]) -> int:
     """Rank over the fraction field Q(t)."""
-    return bareiss(entries)[0]
+    k, residual = _cancel_units(entries)
+    return k + bareiss(residual)[0]
 
 
 def det_poly(entries: list[list[PolyT]]) -> PolyT:
@@ -193,10 +270,9 @@ def rank_modulo(entries: list[list[PolyT]], p: PolyT) -> int:
 
 
 def special_locus_for_matrix(entries: list[list[PolyT]]) -> list[PolyT]:
-    """Monic irreducible conditions where this matrix's rank drops, from one
-    elimination; the one-matrix case of ``_special_ranks``."""
-    rank, pivots = bareiss(entries)
-    return [cond for cond, _ in _special_ranks([entries], [rank], [pivots[-1] if rank else ONE])]
+    """Monic irreducible conditions where this matrix's rank drops; the
+    one-matrix case of ``_ranks_and_locus``."""
+    return [cond for cond, _ in _ranks_and_locus([entries])[1]]
 
 
 def _special_ranks(
@@ -243,20 +319,29 @@ def boundary_matrices(system: ChainComplexSystem, w: int, max_degree: Optional[i
     return (boundary_matrix(system, m, w) for m in range(1, bound + 1))
 
 
-def _ranks_and_locus(matrices: list[BoundaryMatrix]) -> tuple[list[int], list[tuple[PolyT, list[int]]]]:
-    """Generic ranks, and ``_special_ranks`` of the matrices, from one
-    elimination per matrix; only its rank and last pivot are kept."""
-    ranks, last_pivots = [], []
-    for M in matrices:
-        rank, pivots = bareiss(M.entries) if M.rows and M.cols else (0, [])
+def _ranks_and_locus(matrices: list[list[list[PolyT]]]) -> tuple[list[int], list[tuple[PolyT, list[int]]]]:
+    """Generic ranks, and the special conditions with the ranks of all
+    matrices there.  Each matrix's unit pivots are cancelled, then its
+    residual, if not empty, is eliminated once (only the rank and the last
+    pivot are kept) and ``_special_ranks`` runs on the residuals; the k unit
+    pivots add to every rank."""
+    units, residuals, ranks, last_pivots = [], [], [], []
+    for entries in matrices:
+        k, residual = _cancel_units(entries)
+        rank, pivots = bareiss(residual) if residual else (0, [])
+        units.append(k)
+        residuals.append(residual)
         ranks.append(rank)
         last_pivots.append(pivots[-1] if rank else ONE)
-    return ranks, _special_ranks([M.entries for M in matrices], ranks, last_pivots)
+    special = _special_ranks(residuals, ranks, last_pivots)
+    return [k + r for k, r in zip(units, ranks)], [
+        (cond, [k + r for k, r in zip(units, at)]) for cond, at in special
+    ]
 
 
 def special_locus(system: ChainComplexSystem, w: int, max_degree: Optional[int] = None) -> list[PolyT]:
     """The conditions where some boundary rank of the weight-w complex drops."""
-    return [cond for cond, _ in _ranks_and_locus(list(boundary_matrices(system, w, max_degree)))[1]]
+    return [cond for cond, _ in _ranks_and_locus([M.entries for M in boundary_matrices(system, w, max_degree)])[1]]
 
 
 @dataclass
@@ -356,7 +441,7 @@ def betti_piecewise(system: ChainComplexSystem, w: int, max_degree: Optional[int
     dims = [len(M.cols) for M in matrices]
     _check_complex(matrices)
 
-    gen_ranks, special_ranks = _ranks_and_locus(matrices)
+    gen_ranks, special_ranks = _ranks_and_locus([M.entries for M in matrices])
     gen_kernels, gen_betti = _betti_from_ranks(dims, gen_ranks)
     _check_euler(dims, gen_betti, f"generic, weight {w}")
 

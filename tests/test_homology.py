@@ -18,6 +18,7 @@ from supdeform.cli import main
 from supdeform.config import load_config
 from supdeform.homology import (
     BoundaryMatrix,
+    _cancel_units,
     _check_complex,
     _ranks_and_locus,
     bareiss,
@@ -365,6 +366,59 @@ def test_row_scaled_bareiss_matches_dense_reference(entries):
     assert bareiss(entries) == _dense_bareiss(entries)
 
 
+_units = st.sampled_from([-2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3)]).map(PolyT.const)
+_linear_polys = st.builds(
+    lambda c, lead: PolyT([Fraction(c), Fraction(lead)]), st.integers(-3, 3), st.sampled_from([-2, -1, 1, 2, 3])
+)
+
+
+@st.composite
+def _unit_matrices(draw):
+    """Up to 5 x 5, often square; a nonzero entry is a constant with
+    probability 0 (so no unit pivot exists), 0.3 or 0.7, else of degree 1.
+    The last row is sometimes a rational combination of two others."""
+    nrows = draw(st.integers(1, 5))
+    ncols = nrows if draw(st.booleans()) else draw(st.integers(1, 5))
+    density = draw(st.sampled_from([0.3, 0.6, 0.9]))
+    unit_share = draw(st.sampled_from([0.0, 0.3, 0.7]))
+
+    def entry():
+        if draw(st.floats(0, 1)) >= density:
+            return ZERO
+        return draw(_units if draw(st.floats(0, 1)) < unit_share else _linear_polys)
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    if nrows >= 3 and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_unit_matrices(), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
+def test_unit_cancellation_matches_whole_matrix(entries, t0):
+    """k unit pivots plus the residual's rank is the whole matrix's rank,
+    generically, at t0 and modulo irreducible quadratics, and both paths
+    print the same special conditions with the same ranks."""
+    k, residual = _cancel_units(entries)
+    if all(e.degree != 0 for row in entries for e in row):
+        assert k == 0
+    assert all(any(row) for row in residual) and all(any(col) for col in zip(*residual))
+    rank, pivots = bareiss(entries)
+    residual_rank, residual_pivots = bareiss(residual)
+    assert k + residual_rank == rank
+    assert k + rank_at_rational(residual, t0) == rank_at_rational(entries, t0)
+    for p in (poly(1, 0, 1), poly(-2, 0, 1)):
+        assert k + rank_modulo(residual, p) == rank_modulo(entries, p)
+    whole = homology._special_ranks([entries], [rank], [pivots[-1] if rank else ONE])
+    assert [(str(c), r) for c, r in _ranks_and_locus([entries])[1]] == [(str(c), r) for c, r in whole]
+    if len(entries) == len(entries[0]) == rank:
+        # det M = +- (product of the unit pivots, a nonzero constant) * det S
+        last = residual_pivots[-1] if residual_rank else ONE
+        ratio, rest = divmod(homology.det_poly(entries), last)
+        assert rest.is_zero() and ratio.degree == 0
+
+
 def test_integer_exact_division_raises_on_a_remainder():
     assert homology._zexact_div((-1, 0, 1), (1, 1)) == (-1, 1)
     assert homology._zexact_div((4, 6), (2,)) == (2, 3)
@@ -488,7 +542,7 @@ def test_locus_union_stays_pairwise_coprime():
     whole = BoundaryMatrix(2, 0, ["u"], ["v"], [[a * b]])
     part = BoundaryMatrix(3, 0, ["v"], ["x"], [[a]])
     assert special_locus_for_matrix(whole.entries) == [a, b]
-    assert _ranks_and_locus([whole, part]) == ([1, 1], [(a, [0, 0]), (b, [0, 1])])
+    assert _ranks_and_locus([whole.entries, part.entries]) == ([1, 1], [(a, [0, 0]), (b, [0, 1])])
 
 
 def test_report_locus_is_its_special_conditions(monkeypatch):
@@ -519,11 +573,14 @@ def test_report_locus_is_its_special_conditions(monkeypatch):
 
 
 def test_betti_piecewise_eliminates_each_matrix_once(monkeypatch):
+    """Each matrix's unit pivots are cancelled, and only the non-empty
+    residuals are eliminated and specialized."""
     config = load_config(AFF_G0P)
     system = ChainComplexSystem(config.deformation, config.extension)
     calls = {"bareiss": 0, "det_poly": 0}
     built = []
-    specialized = []  # (matrix entries, condition) per rank at a condition
+    residuals = []
+    specialized = []  # (residual entries, condition) per rank at a condition
 
     def counting(name):
         original = getattr(homology, name)
@@ -538,6 +595,11 @@ def test_betti_piecewise_eliminates_each_matrix_once(monkeypatch):
         built.append(boundary_matrix(system, m, w))
         return built[-1]
 
+    def cancelling(entries):
+        k, residual = _cancel_units(entries)
+        residuals.append(residual)
+        return k, residual
+
     def at_rational(entries, t0):
         specialized.append((entries, poly(-t0, 1)))
         return rank_at_rational(entries, t0)
@@ -549,20 +611,22 @@ def test_betti_piecewise_eliminates_each_matrix_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(homology, name, counting(name))
     monkeypatch.setattr(homology, "boundary_matrix", building)
+    monkeypatch.setattr(homology, "_cancel_units", cancelling)
     monkeypatch.setattr(homology, "rank_at_rational", at_rational)
     monkeypatch.setattr(homology, "rank_modulo", modulo)
     report = betti_piecewise(system, -4)
     assert [M.m for M in built] == report.degrees
     assert all(M.cols for M in built)
-    # the locus factors each elimination's last pivot; no minor is formed
+    assert len(residuals) == len(built)
+    # the locus factors each residual's last pivot; no minor is formed
     assert calls["det_poly"] == 0
-    assert calls["bareiss"] == sum(1 for M in built if M.rows)
-    # a matrix is specialized only where its last pivot vanishes, once each
-    last_pivots = {id(M.entries): bareiss(M.entries)[1][-1] for M in built if M.rows}
+    assert calls["bareiss"] == sum(1 for S in residuals if S) == 3
+    # a residual is specialized only where its last pivot vanishes, once each
+    last_pivots = {id(S): bareiss(S)[1][-1] for S in residuals if S}
     assert len(specialized) == 6
     assert len({(id(entries), tuple(p.coeffs)) for entries, p in specialized}) == len(specialized)
     for entries, p in specialized:
-        assert poly_gcd(p, last_pivots[id(entries)]).degree >= 1
+        assert (last_pivots[id(entries)] % p).is_zero()
     assert [str(p) for p in report.locus] == ["t"]
     assert report.generic_betti == [0, 0, 3, 6, 3, 0, 0, 0]
     assert [(case.label(), case.betti) for case in report.special] == [("t = 0", [0, 0, 4, 9, 6, 1, 0, 0])]
@@ -596,6 +660,17 @@ def test_betti_g0p_weight_minus_six_answer_pinned(capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "063a9ca886a18578c47a8929b09f49fd121859e98af575eede6448fcb8c06b98"
+    )
+
+
+def test_betti_g0p_weight_minus_seven_answer_pinned(capsys):
+    """Generic Betti (0,0,0,1,4,5,2,0,0,0,0), locus {t}, and at t = 0
+    (0,0,0,1,5,9,8,4,1,0,0): the report that the whole-matrix elimination
+    and the unit-pivot cancellation both gave."""
+    assert main(["betti", "--config", AFF_G0P, "--weight", "-7", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1e6056deda6b08f4ae8b67ef05f98f2c68aa8c189d717a459550c7b1a4d79932"
     )
 
 
