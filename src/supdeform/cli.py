@@ -17,8 +17,10 @@ serialization is stable (sorted keys), so reports round-trip byte-identically.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import axioms as axioms_mod
 from . import homology
@@ -30,10 +32,52 @@ from .liealg import OneForm
 
 
 def _emit(payload: dict, fmt: str, text_renderer):
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_json_text(payload) if fmt == "json" else text_renderer())
+
+
+def _json_text(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
+    dicts with str keys, lists, tuples and scalars.  With ``indent`` set,
+    ``json.dumps`` runs its pure-Python encoder on every entry; this writer
+    joins each list of str in one call."""
+    out: list[str] = []
+    _write_json(value, "", out)
+    return "".join(out)
+
+
+def _write_json(value, indent: str, out: list[str]):
+    """Append the chunks of ``value`` rendered at this indent to out."""
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        lead = "{\n"
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            out.append(lead + inner + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], inner, out)
+            lead = ",\n"
+        out.append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        if set(map(type, value)) == {str}:
+            out.append("[\n" + inner + (",\n" + inner).join(map(encode_basestring_ascii, value)) + "\n" + indent + "]")
+            return
+        lead = "[\n"
+        for item in value:
+            out.append(lead + inner)
+            _write_json(item, inner, out)
+            lead = ",\n"
+        out.append("\n" + indent + "]")
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
     else:
-        print(text_renderer())
+        out.append(json.dumps(value))
 
 
 def _resolved_format(config: RunConfig, args) -> str:
@@ -99,11 +143,7 @@ def cmd_chain(config: RunConfig, args) -> int:
     blocks = []
     for w in _weights(config, args):
         per_degree = [
-            {
-                "m": M.m,
-                "basis": [system.word_label(word) for word in M.cols],
-                "boundary": [[str(e) for e in row] for row in M.entries],
-            }
+            {"m": M.m, "basis": [system.word_label(word) for word in M.cols], "boundary": _boundary_rows(M)}
             for M in homology.boundary_matrices(system, w, config.max_degree)
         ]
         blocks.append({"weight": w, "chain": per_degree})
@@ -121,6 +161,16 @@ def cmd_chain(config: RunConfig, args) -> int:
 
     _emit(payload, _resolved_format(config, args), text)
     return 0
+
+
+def _boundary_rows(M: homology.BoundaryMatrix) -> list[list[str]]:
+    """The matrix as rows of entry strings; only the nonzero entries are
+    formatted."""
+    rows = [["0"] * len(M.cols) for _ in M.rows]
+    for c, column in enumerate(M.columns):
+        for r, e in column.items():
+            rows[r][c] = str(e)
+    return rows
 
 
 def cmd_betti(config: RunConfig, args) -> int:
@@ -190,6 +240,7 @@ def cmd_schouten(config: RunConfig, args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache  # built on the first call, then shared by every main() of the process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="supdeform", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,8 +1,10 @@
 """Boundary matrices over Q[t], parametric ranks, and piecewise Betti numbers.
 
-Each boundary matrix is first reduced by its unit pivots (``_cancel_units``):
-while some entry is a nonzero constant, the one of least Markowitz cost
-clears its column over Q[t], and its row and column go.  A nonzero constant
+A boundary matrix is held as sparse columns, row index -> nonzero entry,
+filled straight from the boundary of each word; only the small residual S
+below is stored dense.  Each one is first reduced by its unit pivots
+(``_cancel_units``): while some entry is a nonzero constant, the one of
+least Markowitz cost clears its column over Q[t], and its row and column go.  A nonzero constant
 is invertible at every t and in every Q[t]/(p), so the rank of the matrix is
 k (the number of unit pivots) plus the rank of the Schur complement S left
 over, generically, at every point and modulo every condition; and each
@@ -29,7 +31,7 @@ distinct, whatever the order of the bases or of the unit pivots.  The gcd
 of all maximal minors (``minors_gcd``) defines a matrix's locus; it forms
 every minor, so it serves only as the reference the tests compare against,
 as ``bareiss`` on a whole matrix does for the ranks.  d.d = 0 is checked
-exactly on the column nonzeros.
+exactly on the sparse columns.
 """
 
 from __future__ import annotations
@@ -49,41 +51,54 @@ from .scalars import _zexact_div, _zmul, _zsub  # the Z[t] arithmetic the factor
 
 @dataclass
 class BoundaryMatrix:
-    """The boundary map C_m^w -> C_{m-1}^w in the canonical word bases."""
+    """The boundary map C_m^w -> C_{m-1}^w in the canonical word bases, by
+    sparse columns: columns[c] maps each row index r to the nonzero
+    coefficient of rows[r] in d(cols[c]); no column holds a zero entry."""
 
     m: int
     w: int
     rows: list[SuperWord]
     cols: list[SuperWord]
-    entries: list[list[PolyT]]  # entries[r][c] = coefficient of rows[r] in d(cols[c])
+    columns: list[dict[int, PolyT]]
 
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.rows), len(self.cols)
 
-    def column_nonzeros(self) -> list[list[tuple[int, PolyT]]]:
-        """Per column, the (row index, entry) pairs with a nonzero entry."""
-        columns: list[list[tuple[int, PolyT]]] = [[] for _ in self.cols]
-        for r, row in enumerate(self.entries):
-            for c, e in enumerate(row):
-                if e:
-                    columns[c].append((r, e))
-        return columns
+    @property
+    def entries(self) -> list[list[PolyT]]:
+        """A dense copy, entries[r][c], built on each read; nothing in the
+        package reads it (the benchmark's tracer counts nonzeros on it)."""
+        dense = [[ZERO] * len(self.cols) for _ in self.rows]
+        for c, column in enumerate(self.columns):
+            for r, e in column.items():
+                dense[r][c] = e
+        return dense
 
 
 def boundary_matrix(system: ChainComplexSystem, m: int, w: int) -> BoundaryMatrix:
     cols = system.enumerate_basis(m, w)
     rows = system.enumerate_basis(m - 1, w) if m >= 2 else []
     row_index = {word: i for i, word in enumerate(rows)}
-    entries = [[ZERO] * len(cols) for _ in rows]
-    for c, word in enumerate(cols):
-        image = system.boundary_word(word)
-        for target, coeff in image.terms.items():
-            r = row_index.get(target)
-            if r is None:
-                raise RuntimeError("boundary image left the expected weight space")
-            entries[r][c] = coeff
-    return BoundaryMatrix(m, w, rows, cols, entries)
+    columns = []
+    for word in cols:
+        terms = system.boundary_word(word).terms  # a ChainElement holds no zero coefficient
+        try:
+            columns.append({row_index[target]: coeff for target, coeff in terms.items()})
+        except KeyError:
+            raise RuntimeError("boundary image left the expected weight space") from None
+    return BoundaryMatrix(m, w, rows, cols, columns)
+
+
+def _sparse_columns(entries: list[list[PolyT]]) -> list[dict[int, PolyT]]:
+    """The nonzero entries of a dense matrix by column, as in
+    ``BoundaryMatrix.columns``."""
+    columns: list[dict[int, PolyT]] = [{} for _ in (entries[0] if entries else ())]
+    for r, row in enumerate(entries):
+        for c, e in enumerate(row):
+            if e.coeffs:  # no __bool__ call per entry
+                columns[c][r] = e
+    return columns
 
 
 def bareiss(entries: list[list[PolyT]]) -> tuple[int, list[PolyT]]:
@@ -148,9 +163,10 @@ def bareiss(entries: list[list[PolyT]]) -> tuple[int, list[PolyT]]:
     return len(pivots), pivots
 
 
-def _cancel_units(entries: list[list[PolyT]]) -> tuple[int, list[list[PolyT]]]:
-    """(k, S): the number k of unit pivots cancelled, and the Schur
-    complement S left over, without its empty rows and columns.
+def _cancel_units(columns: list[dict[int, PolyT]]) -> tuple[int, list[list[PolyT]]]:
+    """(k, S): the number k of unit pivots cancelled from the matrix with
+    these sparse columns, and the Schur complement S left over, dense and
+    without its empty rows and columns.
 
     While some entry is a nonzero constant a, the one of least Markowitz cost
     (row nonzeros - 1) * (column nonzeros - 1), then least row and column,
@@ -161,11 +177,12 @@ def _cancel_units(entries: list[list[PolyT]]) -> tuple[int, list[list[PolyT]]]:
     and an entry popped with a cost other than its current one is stale.
     S keeps the order of the rows and columns it has left.
     """
-    rows = [{j: e for j, e in enumerate(row) if e.coeffs} for row in entries]  # no __bool__ call per entry
-    cols: list[set[int]] = [set() for _ in (entries[0] if entries else ())]
-    for i, row in enumerate(rows):
-        for j in row:
-            cols[j].add(i)
+    nrows = 1 + max((max(column) for column in columns if column), default=-1)
+    rows: list[dict[int, PolyT]] = [{} for _ in range(nrows)]
+    for j, column in enumerate(columns):
+        for i, e in column.items():
+            rows[i][j] = e
+    cols = [set(column) for column in columns]
 
     def cost(i: int, j: int) -> int:
         return (len(rows[i]) - 1) * (len(cols[j]) - 1)
@@ -213,7 +230,7 @@ def _cancel_units(entries: list[list[PolyT]]) -> tuple[int, list[list[PolyT]]]:
 
 def generic_rank(entries: list[list[PolyT]]) -> int:
     """Rank over the fraction field Q(t)."""
-    k, residual = _cancel_units(entries)
+    k, residual = _cancel_units(_sparse_columns(entries))
     return k + bareiss(residual)[0]
 
 
@@ -272,7 +289,7 @@ def rank_modulo(entries: list[list[PolyT]], p: PolyT) -> int:
 def special_locus_for_matrix(entries: list[list[PolyT]]) -> list[PolyT]:
     """Monic irreducible conditions where this matrix's rank drops; the
     one-matrix case of ``_ranks_and_locus``."""
-    return [cond for cond, _ in _ranks_and_locus([entries])[1]]
+    return [cond for cond, _ in _ranks_and_locus([_sparse_columns(entries)])[1]]
 
 
 def _special_ranks(
@@ -319,15 +336,16 @@ def boundary_matrices(system: ChainComplexSystem, w: int, max_degree: Optional[i
     return (boundary_matrix(system, m, w) for m in range(1, bound + 1))
 
 
-def _ranks_and_locus(matrices: list[list[list[PolyT]]]) -> tuple[list[int], list[tuple[PolyT, list[int]]]]:
+def _ranks_and_locus(matrices: list[list[dict[int, PolyT]]]) -> tuple[list[int], list[tuple[PolyT, list[int]]]]:
     """Generic ranks, and the special conditions with the ranks of all
-    matrices there.  Each matrix's unit pivots are cancelled, then its
-    residual, if not empty, is eliminated once (only the rank and the last
-    pivot are kept) and ``_special_ranks`` runs on the residuals; the k unit
-    pivots add to every rank."""
+    matrices there, each matrix given by its sparse columns.  Each matrix's
+    unit pivots are cancelled, then its residual, if not empty, is
+    eliminated once (only the rank and the last pivot are kept) and
+    ``_special_ranks`` runs on the residuals; the k unit pivots add to every
+    rank."""
     units, residuals, ranks, last_pivots = [], [], [], []
-    for entries in matrices:
-        k, residual = _cancel_units(entries)
+    for columns in matrices:
+        k, residual = _cancel_units(columns)
         rank, pivots = bareiss(residual) if residual else (0, [])
         units.append(k)
         residuals.append(residual)
@@ -341,7 +359,7 @@ def _ranks_and_locus(matrices: list[list[list[PolyT]]]) -> tuple[list[int], list
 
 def special_locus(system: ChainComplexSystem, w: int, max_degree: Optional[int] = None) -> list[PolyT]:
     """The conditions where some boundary rank of the weight-w complex drops."""
-    return [cond for cond, _ in _ranks_and_locus([M.entries for M in boundary_matrices(system, w, max_degree)])[1]]
+    return [cond for cond, _ in _ranks_and_locus([M.columns for M in boundary_matrices(system, w, max_degree)])[1]]
 
 
 @dataclass
@@ -441,7 +459,7 @@ def betti_piecewise(system: ChainComplexSystem, w: int, max_degree: Optional[int
     dims = [len(M.cols) for M in matrices]
     _check_complex(matrices)
 
-    gen_ranks, special_ranks = _ranks_and_locus([M.entries for M in matrices])
+    gen_ranks, special_ranks = _ranks_and_locus([M.columns for M in matrices])
     gen_kernels, gen_betti = _betti_from_ranks(dims, gen_ranks)
     _check_euler(dims, gen_betti, f"generic, weight {w}")
 
@@ -456,17 +474,17 @@ def betti_piecewise(system: ChainComplexSystem, w: int, max_degree: Optional[int
 
 
 def _check_complex(matrices: list[BoundaryMatrix]):
-    """d_m . d_{m+1} = 0 as matrices over Q[t], on the column nonzeros.
+    """d_m . d_{m+1} = 0 as matrices over Q[t], on the sparse columns.
 
     Column j of the product is the sum of B[k][j] times column k of A over
     the nonzero B[k][j]; every entry it does not reach is an empty sum.
     """
-    columns = [M.column_nonzeros() for M in matrices]
-    for A, B, a_cols, b_cols in zip(matrices, matrices[1:], columns, columns[1:]):
-        for b_col in b_cols:
+    for A, B in zip(matrices, matrices[1:]):
+        a_cols = A.columns
+        for b_col in B.columns:
             acc: dict[int, PolyT] = {}
-            for k, b in b_col:
-                for i, a in a_cols[k]:
+            for k, b in b_col.items():
+                for i, a in a_cols[k].items():
                     add_term(acc, i, a * b)
             if acc:
                 raise RuntimeError(f"d.d != 0 between degrees {A.m} and {B.m}")

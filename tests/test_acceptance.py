@@ -124,9 +124,8 @@ def test_criterion_3_golden_extension_table():
         }
         for m, span in paper_spans.items():
             M = boundary_matrix(system, m, -3)
-            image_rows = [
-                [M.entries[r][c] for r in range(len(M.rows))] for c in range(len(M.cols))
-            ]
+            entries = M.entries
+            image_rows = [[entries[r][c] for r in range(len(M.rows))] for c in range(len(M.cols))]
             image_rows = [row for row in image_rows if any(not e.is_zero() for e in row)]
             basis = system.enumerate_basis(m - 1, -3)
             listed_rows = [[v.coefficient(word) for word in basis] for v in span]

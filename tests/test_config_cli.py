@@ -320,3 +320,117 @@ def test_mutated_configs_exit_cleanly(tmp_path, text):
         ):
             warnings.simplefilter("ignore")
             assert main([command[0], "--config", path, *command[1:]]) in (0, 1, 2)
+
+
+def _run_in_process(argv):
+    """(exit code, stdout) of one ``main`` call in this process."""
+    out = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("ignore")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse errors exit 2
+            code = exc.code
+    return code, out.getvalue()
+
+
+def test_consecutive_main_calls_match_separate_runs():
+    """The argument parser is built once per process; calls made one after
+    another through it answer as fresh interpreters do, so no parsed value
+    (an ``append`` list, a failed parse) carries over."""
+    from supdeform.cli import build_parser
+
+    cfg = str(CONFIG_DIR / "dim2-standard.cfg")
+    calls = [
+        ["betti", "--config", cfg, "--weight", "-2", "--weight", "-3", "--format", "json"],
+        ["betti", "--config", cfg, "--format", "json"],
+        ["chain", "--config", cfg],
+        ["ffamily", "--closed", "--grid", "4"],
+        ["betti", "--config", cfg, "--weight", "x"],
+        ["betti", "--config", cfg],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    separate = []
+    for argv in calls:
+        proc = subprocess.run(
+            [sys.executable, "-m", "supdeform.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        separate.append((proc.returncode, proc.stdout))
+    assert [code for code, _ in separate] == [0, 0, 0, 0, 2, 0]
+    assert separate[0][1] != separate[1][1]  # two weights, then the config's one
+    assert [_run_in_process(argv) for argv in calls] == separate
+    assert build_parser() is build_parser()
+
+
+_awkward_text = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é€𝄞 '), st.characters()), max_size=12
+)
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.floats(),
+    _awkward_text,
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.lists(_awkward_text, max_size=5),
+        st.dictionaries(_awkward_text, inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_json_writer_matches_json_dumps(value):
+    from supdeform.cli import _json_text
+
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_writer_rejects_non_str_keys():
+    from supdeform.cli import _json_text
+
+    with pytest.raises(TypeError):
+        _json_text({1: "a"})
+
+
+SHIPPED_CONFIGS = sorted(CONFIG_DIR.glob("*.cfg")) + sorted((ROOT / "bench" / "configs").glob("*.cfg"))
+
+
+def test_every_json_report_is_json_dumps_of_its_payload(monkeypatch):
+    """Every command on every shipped config prints, in JSON, exactly what
+    ``json.dumps(payload, indent=2, sort_keys=True)`` gives."""
+    from supdeform import cli
+
+    payloads = []
+    original = cli._emit
+
+    def recording(payload, fmt, text_renderer):
+        payloads.append(payload)
+        original(payload, fmt, text_renderer)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    calls = [["ffamily", "--closed", "--grid", "8"], ["ffamily", "--nonclosed", "--grid", "8"]]
+    for path in SHIPPED_CONFIGS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            weights = [] if load_config(str(path)).weights else ["--weight", "-3"]
+        calls += [[command, "--config", str(path)] for command in ("validate", "axioms", "schouten")]
+        calls += [[command, "--config", str(path), *weights] for command in ("chain", "betti")]
+    reported = 0
+    for argv in calls:
+        payloads.clear()
+        code, out = _run_in_process([*argv, "--format", "json"])
+        if not payloads:  # a failed consistency check (d.d != 0 for a non-closed phi) prints no report
+            assert (code, out) == (1, ""), argv
+            continue
+        assert code in (0, 1) and len(payloads) == 1, argv
+        assert out == json.dumps(payloads[0], indent=2, sort_keys=True) + "\n", argv
+        reported += 1
+    assert reported == len(calls) - 1  # betti on heisenberg-nonclosed

@@ -244,7 +244,8 @@ def test_boundary_image_spans_match_paper(sys_ext):
     }
     for m, span in paper_spans.items():
         M = boundary_matrix(sys_ext, m, -3)
-        image_rows = [[M.entries[r][c] for r in range(len(M.rows))] for c in range(len(M.cols))]
+        entries = M.entries
+        image_rows = [[entries[r][c] for r in range(len(M.rows))] for c in range(len(M.cols))]
         listed = _to_sympy([chain_vector(v, m - 1) for v in span])
         image = _to_sympy(image_rows)
         stacked = listed.col_join(image)
@@ -288,11 +289,12 @@ def test_complex_property_dd_zero_matrixwise(sys_ext):
         for A, B in zip(mats, mats[1:]):
             if not A.rows or not B.cols:
                 continue
+            a, b = A.entries, B.entries
             for i in range(len(A.rows)):
                 for j in range(len(B.cols)):
                     acc = ZERO
                     for k in range(len(A.cols)):
-                        acc = acc + A.entries[i][k] * B.entries[k][j]
+                        acc = acc + a[i][k] * b[k][j]
                     assert acc.is_zero()
 
 
@@ -394,13 +396,18 @@ def _unit_matrices(draw):
     return rows
 
 
+def _columns(entries):
+    """The nonzero entries of a dense matrix by column, row index -> entry."""
+    return [{r: row[c] for r, row in enumerate(entries) if not row[c].is_zero()} for c in range(len(entries[0]))]
+
+
 @settings(max_examples=150, deadline=None)
 @given(_unit_matrices(), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
 def test_unit_cancellation_matches_whole_matrix(entries, t0):
     """k unit pivots plus the residual's rank is the whole matrix's rank,
     generically, at t0 and modulo irreducible quadratics, and both paths
     print the same special conditions with the same ranks."""
-    k, residual = _cancel_units(entries)
+    k, residual = _cancel_units(_columns(entries))
     if all(e.degree != 0 for row in entries for e in row):
         assert k == 0
     assert all(any(row) for row in residual) and all(any(col) for col in zip(*residual))
@@ -411,7 +418,7 @@ def test_unit_cancellation_matches_whole_matrix(entries, t0):
     for p in (poly(1, 0, 1), poly(-2, 0, 1)):
         assert k + rank_modulo(residual, p) == rank_modulo(entries, p)
     whole = homology._special_ranks([entries], [rank], [pivots[-1] if rank else ONE])
-    assert [(str(c), r) for c, r in _ranks_and_locus([entries])[1]] == [(str(c), r) for c, r in whole]
+    assert [(str(c), r) for c, r in _ranks_and_locus([_columns(entries)])[1]] == [(str(c), r) for c, r in whole]
     if len(entries) == len(entries[0]) == rank:
         # det M = +- (product of the unit pivots, a nonzero constant) * det S
         last = residual_pivots[-1] if residual_rank else ONE
@@ -539,10 +546,10 @@ def test_locus_union_stays_pairwise_coprime():
     """One matrix's last pivot is a reducible quartic, another's one of its
     factors; the union holds each irreducible factor once."""
     a, b = poly(Fraction(1, 2), 0, 1), poly(Fraction(2, 3), 0, 1)
-    whole = BoundaryMatrix(2, 0, ["u"], ["v"], [[a * b]])
-    part = BoundaryMatrix(3, 0, ["v"], ["x"], [[a]])
+    whole = BoundaryMatrix(2, 0, ["u"], ["v"], [{0: a * b}])
+    part = BoundaryMatrix(3, 0, ["v"], ["x"], [{0: a}])
     assert special_locus_for_matrix(whole.entries) == [a, b]
-    assert _ranks_and_locus([whole.entries, part.entries]) == ([1, 1], [(a, [0, 0]), (b, [0, 1])])
+    assert _ranks_and_locus([whole.columns, part.columns]) == ([1, 1], [(a, [0, 0]), (b, [0, 1])])
 
 
 def test_report_locus_is_its_special_conditions(monkeypatch):
@@ -550,10 +557,10 @@ def test_report_locus_is_its_special_conditions(monkeypatch):
     pivot 1, so it keeps its rank there and is never reduced modulo a."""
     a, b = poly(Fraction(1, 2), 0, 1), poly(Fraction(2, 3), 0, 1)
     matrices = [
-        BoundaryMatrix(1, 0, [], ["u"], []),
-        BoundaryMatrix(2, 0, ["u"], ["v"], [[a * b]]),
-        BoundaryMatrix(3, 0, ["v"], ["x0", "x1"], [[ZERO, ZERO]]),
-        BoundaryMatrix(4, 0, ["x0", "x1"], ["y"], [[a], [ONE]]),
+        BoundaryMatrix(1, 0, [], ["u"], [{}]),
+        BoundaryMatrix(2, 0, ["u"], ["v"], [{0: a * b}]),
+        BoundaryMatrix(3, 0, ["v"], ["x0", "x1"], [{}, {}]),
+        BoundaryMatrix(4, 0, ["x0", "x1"], ["y"], [{0: a, 1: ONE}]),
     ]
     reduced = []
     original = homology.rank_modulo
@@ -568,7 +575,7 @@ def test_report_locus_is_its_special_conditions(monkeypatch):
     assert report.locus == [a, b]
     assert [case.condition for case in report.special] == report.locus
     assert [case.ranks for case in report.special] == [[0, 0, 0, 1], [0, 0, 0, 1]]
-    assert reduced and all(entries is not matrices[3].entries for entries in reduced)
+    assert reduced and all(entries == [[a * b]] for entries in reduced)  # d_2's residual only
     assert special_locus(None, 0) == [a, b]
 
 
@@ -635,10 +642,11 @@ def test_betti_piecewise_eliminates_each_matrix_once(monkeypatch):
 def test_check_complex_raises_on_nonzero_composite():
     """A.B vanishes except in its last entry, which only the full sparse
     product reaches."""
-    A = BoundaryMatrix(2, 0, ["u0", "u1"], ["v0", "v1", "v2"], [[ONE, T, ZERO], [ZERO, ZERO, T]])
-    B_ok = BoundaryMatrix(3, 0, ["v0", "v1", "v2"], ["x0", "x1"], [[T, ZERO], [-ONE, ZERO], [ZERO, ZERO]])
+    # A = [[1, t, 0], [0, 0, t]], B_ok = [[t, 0], [-1, 0], [0, 0]]; B_bad has a 1 in its last entry
+    A = BoundaryMatrix(2, 0, ["u0", "u1"], ["v0", "v1", "v2"], [{0: ONE}, {0: T}, {1: T}])
+    B_ok = BoundaryMatrix(3, 0, ["v0", "v1", "v2"], ["x0", "x1"], [{0: T, 1: -ONE}, {}])
     _check_complex([A, B_ok])
-    B_bad = BoundaryMatrix(3, 0, ["v0", "v1", "v2"], ["x0", "x1"], [[T, ZERO], [-ONE, ZERO], [ZERO, ONE]])
+    B_bad = BoundaryMatrix(3, 0, ["v0", "v1", "v2"], ["x0", "x1"], [{0: T, 1: -ONE}, {2: ONE}])
     with pytest.raises(RuntimeError, match=r"^d\.d != 0 between degrees 2 and 3$"):
         _check_complex([A, B_bad])
 
@@ -684,6 +692,15 @@ def test_chain_g0p_weight_minus_four_dump_pinned(capsys):
     )
 
 
+def test_chain_g0p_weight_minus_four_text_dump_pinned(capsys):
+    """The same dump in text format: bases and boundary rows, zeros included."""
+    assert main(["chain", "--config", AFF_G0P, "--weight", "-4", "--format", "text"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f8f2a84e6c9844557b66ac42da87a579e02f54806b8d76de7e1f244a30235d47"
+    )
+
+
 FILIFORM6_G0P = """
 [algebra]
 dim = 6
@@ -714,3 +731,52 @@ def test_filiform6_g0p_weight_minus_three_answer_pinned(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "dd5d74e162f87c873db62cbc40453614cb6a9efc62f8cb5370ba27e8672aadf8"
     )
+
+
+def _dense_boundary(system, m, w):
+    """Reference: the dense matrix entries[r][c] = coefficient of row word r
+    in the boundary of column word c, every entry stored."""
+    cols = system.enumerate_basis(m, w)
+    rows = system.enumerate_basis(m - 1, w) if m >= 2 else []
+    entries = [[ZERO] * len(cols) for _ in rows]
+    for c, word in enumerate(cols):
+        image = system.boundary_word(word)
+        for r, target in enumerate(rows):
+            entries[r][c] = image.coefficient(target)
+        assert sum(1 for row in entries if not row[c].is_zero()) == len(image.terms)
+    return entries
+
+
+def _shipped_complexes():
+    """(system, weight, max_degree) of every shipped config at its weights,
+    of aff(1)+aff(1) + g0' at w = -4 and -5 and of filiform-6 + g0' at -3."""
+    root = Path(__file__).resolve().parent.parent
+    for path in sorted((root / "configs").glob("*.cfg")):
+        config = load_config(str(path))
+        system = ChainComplexSystem(config.deformation, config.extension)
+        for w in config.weights:
+            yield system, w, config.max_degree
+    config = load_config(AFF_G0P)
+    system = ChainComplexSystem(config.deformation, config.extension)
+    yield system, -4, None
+    yield system, -5, None
+
+
+@pytest.mark.filterwarnings("ignore:phi is not closed")
+def test_sparse_assembly_matches_dense_reference(tmp_path):
+    path = tmp_path / "filiform6-g0prime.cfg"
+    path.write_text(FILIFORM6_G0P)
+    config = load_config(str(path))
+    filiform = (ChainComplexSystem(config.deformation, config.extension), -3, None)
+    checked = 0
+    for system, w, max_degree in [*_shipped_complexes(), filiform]:
+        for M in homology.boundary_matrices(system, w, max_degree):
+            dense = _dense_boundary(system, M.m, w)
+            assert len(M.columns) == len(M.cols)
+            assert all(not e.is_zero() for column in M.columns for e in column.values())
+            assert M.columns == [
+                {r: row[c] for r, row in enumerate(dense) if not row[c].is_zero()} for c in range(len(M.cols))
+            ]
+            assert M.entries == dense
+            checked += 1
+    assert checked == 47  # 38 matrices from the configs and aff(1)+aff(1), 9 from filiform-6
