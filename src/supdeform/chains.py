@@ -14,13 +14,14 @@ degree commute (repeats allowed).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from . import qlinalg
 from .axioms import extension_system
 from .brackets import DeformationSpec, extension_vectors
 from .liealg import VectorField
-from .scalars import PolyT, Terms, ZERO, _as_poly, add_term
+from .scalars import PolyT, Terms, ZERO, _as_poly, _zadd_term
 
 SuperWord = tuple[int, ...]
 
@@ -108,6 +109,13 @@ class ChainComplexSystem:
 
     def bracket_generators(self, g1: int, g2: int):
         """[g1, g2] expanded in chain generators: tuple of (generator, PolyT)."""
+        d, values = self._bracket_numerators(g1, g2)
+        return tuple((gen, PolyT._wrap(tuple(Fraction(x, d) for x in nums))) for gen, nums in values)
+
+    def _bracket_numerators(self, g1: int, g2: int):
+        """[g1, g2] as (d, ((generator, numerators), ...)): the coefficient of
+        each generator is its integer coefficient tuple over d, the lcm of
+        the bracket's denominators.  Memoized per pair, filled on first use."""
         cached = self._bracket_cache.get((g1, g2))
         if cached is not None:
             return cached
@@ -117,7 +125,9 @@ class ChainComplexSystem:
         coords = [value.get(i, ZERO) for i in range(1, self.spec.algebra.n + 1)]
         if any(coords):
             out.extend(self._vector_to_generators(coords))
-        result = tuple(out)
+        d = lcm(*(c.denominator for _, coeff in out for c in coeff.coeffs))
+        numerators = tuple((gen, tuple(c.numerator * (d // c.denominator) for c in coeff.coeffs)) for gen, coeff in out)
+        result = (d, numerators)
         self._bracket_cache[(g1, g2)] = result
         return result
 
@@ -190,26 +200,44 @@ class ChainComplexSystem:
         d(Y_1 A ... A Y_m) = sum_{i<j} (-1)^(i-1 + y_i * sum_{i<s<j} y_s)
                              Y_1 A ... ^Y_i ... A [Y_i,Y_j]@j A ... A Y_m
         """
+        den, terms = self._boundary_terms(word)
+        return ChainElement.zero().like(
+            {canon: PolyT._wrap(tuple(Fraction(x, den) for x in nums)) for canon, nums in terms.items()}
+        )
+
+    def _boundary_terms(self, word: SuperWord) -> tuple[int, dict[SuperWord, tuple]]:
+        """(den, terms): the boundary of one word (see ``boundary_word``) is
+        sum terms[canon] / den * canon, each terms[canon] a nonzero integer
+        coefficient tuple and den the lcm of the denominators of the
+        generator pairs met in the word."""
         parity = self.parity
         m = len(word)
-        terms: dict[SuperWord, PolyT] = {}
+        den = 1
+        terms: dict[SuperWord, tuple] = {}
         for i in range(m):
             par_i = parity[word[i]]
             for j in range(i + 1, m):
-                values = self.bracket_generators(word[i], word[j])
+                d, values = self._bracket_numerators(word[i], word[j])
                 if not values:
                     continue
+                if den % d:  # a new denominator: bring the terms so far over the lcm
+                    grown = lcm(den, d)
+                    up = grown // den
+                    terms = {canon: tuple(up * x for x in nums) for canon, nums in terms.items()}
+                    den = grown
                 between = sum(parity[g] for g in word[i + 1 : j]) if par_i else 0
                 sgn = -1 if (i + between) % 2 else 1  # i-1 with 1-based i == i with 0-based
+                factor = den // d
                 prefix = word[:i] + word[i + 1 : j]
                 suffix = word[j + 1 :]
-                for gen, coeff in values:
+                for gen, nums in values:
                     norm = normalize(prefix + (gen,) + suffix, parity)
                     if norm is None:
                         continue
                     s2, canon = norm
-                    add_term(terms, canon, coeff if sgn * s2 > 0 else -coeff)
-        return ChainElement(terms)
+                    f = factor if sgn * s2 > 0 else -factor
+                    _zadd_term(terms, canon, nums if f == 1 else tuple(f * x for x in nums))
+        return den, terms
 
     def boundary(self, element: ChainElement) -> ChainElement:
         out = ChainElement.zero()

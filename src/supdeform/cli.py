@@ -29,6 +29,7 @@ from .chains import ChainComplexSystem
 from .config import ConfigError, RunConfig, load_config
 from .exterior import schouten as plain_schouten
 from .liealg import OneForm
+from .scalars import format_over
 
 
 def _emit(payload: dict, fmt: str, text_renderer):
@@ -165,11 +166,11 @@ def cmd_chain(config: RunConfig, args) -> int:
 
 def _boundary_rows(M: homology.BoundaryMatrix) -> list[list[str]]:
     """The matrix as rows of entry strings; only the nonzero entries are
-    formatted."""
+    formatted, each from its numerators over the matrix's scale."""
     rows = [["0"] * len(M.cols) for _ in M.rows]
     for c, column in enumerate(M.columns):
         for r, e in column.items():
-            rows[r][c] = str(e)
+            rows[r][c] = format_over(e, M.scale)
     return rows
 
 

@@ -1,15 +1,20 @@
-"""Boundary matrices over Q[t], parametric ranks, and piecewise Betti numbers.
+"""Boundary matrices over Z[t], parametric ranks, and piecewise Betti numbers.
 
-A boundary matrix is held as sparse columns, row index -> nonzero entry,
-filled straight from the boundary of each word; only the small residual S
-below is stored dense.  Each one is first reduced by its unit pivots
-(``_cancel_units``): while some entry is a nonzero constant, the one of
-least Markowitz cost clears its column over Q[t], and its row and column go.  A nonzero constant
-is invertible at every t and in every Q[t]/(p), so the rank of the matrix is
-k (the number of unit pivots) plus the rank of the Schur complement S left
-over, generically, at every point and modulo every condition; and each
-maximal minor of S is a maximal minor of the matrix divided by the product
-of the unit pivots, a nonzero constant.  This is the reduction of a chain
+A boundary matrix is held over Z[t], one scale per matrix: sparse columns,
+row index -> nonzero integer coefficient tuple, over one positive integer
+scale, filled straight from the integer boundary of each word
+(``ChainComplexSystem._boundary_terms``); only the small residual S below
+is stored dense, over Q[t].  d.d = 0 is checked exactly on the integer
+columns: the product of two of them is the product of the matrices times
+the two scales, which are nonzero.  Each matrix is then reduced by its unit
+pivots (``_cancel_units``): while some entry is a nonzero constant a, the
+one of least Markowitz cost clears its column, each cleared row first
+multiplied by a unless a = +-1, so the rows stay over Z[t]; its row and
+column go.  A nonzero constant is invertible at every t and in every
+Q[t]/(p), so the rank of the matrix is k (the number of unit pivots) plus
+the rank of the Schur complement S left over, generically, at every point
+and modulo every condition; and each maximal minor of S is a maximal minor
+of the matrix times a nonzero constant.  This is the reduction of a chain
 complex by its invertible incidences.
 
 S, usually small, is then eliminated once, fraction-free (Bareiss), skipping
@@ -27,11 +32,10 @@ residuals whose last pivot it divides; every other one keeps its generic
 rank there.  A candidate is special exactly when some rank drops, and those
 ranks (plus each k) are the ones the Betti report prints, so the report's
 locus is the list of its special conditions: monic, irreducible and
-distinct, whatever the order of the bases or of the unit pivots.  The gcd
-of all maximal minors (``minors_gcd``) defines a matrix's locus; it forms
-every minor, so it serves only as the reference the tests compare against,
-as ``bareiss`` on a whole matrix does for the ranks.  d.d = 0 is checked
-exactly on the sparse columns.
+distinct, whatever the order of the bases, of the unit pivots or the
+scales.  The gcd of all maximal minors (``minors_gcd``) defines a matrix's
+locus; it forms every minor, so it serves only as the reference the tests
+compare against, as ``bareiss`` on a whole matrix does for the ranks.
 """
 
 from __future__ import annotations
@@ -40,26 +44,30 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator, Optional
 
 from . import qlinalg
 from .chains import ChainComplexSystem, SuperWord
-from .scalars import ONE, PolyT, ZERO, add_term, format_rational, irreducible_factors, poly_gcd, poly_xgcd
-from .scalars import _zexact_div, _zmul, _zsub  # the Z[t] arithmetic the factorization shares
+from .scalars import ONE, PolyT, ZERO, format_rational, irreducible_factors, poly_gcd, poly_xgcd
+from .scalars import _zadd_term, _zexact_div, _zmul, _zsub  # the Z[t] arithmetic the factorization shares
 
 
 @dataclass
 class BoundaryMatrix:
-    """The boundary map C_m^w -> C_{m-1}^w in the canonical word bases, by
-    sparse columns: columns[c] maps each row index r to the nonzero
-    coefficient of rows[r] in d(cols[c]); no column holds a zero entry."""
+    """The boundary map C_m^w -> C_{m-1}^w in the canonical word bases, over
+    Z[t] with one scale: the matrix is columns / scale, where columns[c]
+    maps each row index r to the integer coefficient tuple (ascending in t,
+    no trailing zeros) of rows[r] in scale * d(cols[c]); no column holds a
+    zero entry, and scale is the lcm of the denominators of the generator
+    pairs met in the column words."""
 
     m: int
     w: int
     rows: list[SuperWord]
     cols: list[SuperWord]
-    columns: list[dict[int, PolyT]]
+    columns: list[dict[int, tuple[int, ...]]]
+    scale: int = 1
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -67,12 +75,12 @@ class BoundaryMatrix:
 
     @property
     def entries(self) -> list[list[PolyT]]:
-        """A dense copy, entries[r][c], built on each read; nothing in the
-        package reads it (the benchmark's tracer counts nonzeros on it)."""
+        """A dense copy over Q[t], entries[r][c], built on each read; nothing
+        in the package reads it (the benchmark's tracer counts nonzeros on it)."""
         dense = [[ZERO] * len(self.cols) for _ in self.rows]
         for c, column in enumerate(self.columns):
             for r, e in column.items():
-                dense[r][c] = e
+                dense[r][c] = PolyT._wrap(tuple(Fraction(x, self.scale) for x in e))
         return dense
 
 
@@ -80,24 +88,31 @@ def boundary_matrix(system: ChainComplexSystem, m: int, w: int) -> BoundaryMatri
     cols = system.enumerate_basis(m, w)
     rows = system.enumerate_basis(m - 1, w) if m >= 2 else []
     row_index = {word: i for i, word in enumerate(rows)}
-    columns = []
+    dens, columns = [], []
     for word in cols:
-        terms = system.boundary_word(word).terms  # a ChainElement holds no zero coefficient
+        den, terms = system._boundary_terms(word)
         try:
-            columns.append({row_index[target]: coeff for target, coeff in terms.items()})
+            columns.append({row_index[target]: nums for target, nums in terms.items()})
         except KeyError:
             raise RuntimeError("boundary image left the expected weight space") from None
-    return BoundaryMatrix(m, w, rows, cols, columns)
+        dens.append(den)
+    scale = lcm(*dens)
+    for c, den in enumerate(dens):
+        if den != scale:
+            up = scale // den
+            columns[c] = {r: tuple(up * x for x in e) for r, e in columns[c].items()}
+    return BoundaryMatrix(m, w, rows, cols, columns, scale)
 
 
-def _sparse_columns(entries: list[list[PolyT]]) -> list[dict[int, PolyT]]:
-    """The nonzero entries of a dense matrix by column, as in
-    ``BoundaryMatrix.columns``."""
-    columns: list[dict[int, PolyT]] = [{} for _ in (entries[0] if entries else ())]
-    for r, row in enumerate(entries):
-        for c, e in enumerate(row):
-            if e.coeffs:  # no __bool__ call per entry
-                columns[c][r] = e
+def _integer_columns(entries: list[list[PolyT]]) -> list[dict[int, tuple[int, ...]]]:
+    """The nonzero entries of a dense matrix over Q[t] by column, each column
+    scaled by the lcm of its denominators to integer coefficient tuples, as
+    in ``BoundaryMatrix.columns``; the ranks and the locus do not change."""
+    columns = []
+    for c in range(len(entries[0]) if entries else 0):
+        column = {r: row[c].coeffs for r, row in enumerate(entries) if row[c].coeffs}
+        s = lcm(*(x.denominator for e in column.values() for x in e))
+        columns.append({r: tuple(x.numerator * (s // x.denominator) for x in e) for r, e in column.items()})
     return columns
 
 
@@ -163,22 +178,26 @@ def bareiss(entries: list[list[PolyT]]) -> tuple[int, list[PolyT]]:
     return len(pivots), pivots
 
 
-def _cancel_units(columns: list[dict[int, PolyT]]) -> tuple[int, list[list[PolyT]]]:
+def _cancel_units(columns: list[dict[int, tuple[int, ...]]]) -> tuple[int, list[list[PolyT]]]:
     """(k, S): the number k of unit pivots cancelled from the matrix with
-    these sparse columns, and the Schur complement S left over, dense and
-    without its empty rows and columns.
+    these sparse integer columns, and the Schur complement S left over,
+    dense over Q[t] and without its empty rows and columns.
 
     While some entry is a nonzero constant a, the one of least Markowitz cost
     (row nonzeros - 1) * (column nonzeros - 1), then least row and column,
-    is the pivot: each other row of its column takes away its entry / a
-    times the pivot row, over Q[t], and the pivot's row and column go.  The
-    costs sit in a heap; a pivot changes the costs of the entries of the
-    rows it cleared and of the columns of its row, which are pushed again,
-    and an entry popped with a cost other than its current one is stale.
-    S keeps the order of the rows and columns it has left.
+    is the pivot, and its row and column go.  Each other row of its column,
+    with entry f there, becomes a * row - f * (pivot row), or row - a * f *
+    (pivot row) when a = +-1, so every row stays over Z[t]: a row scaled by
+    a nonzero constant keeps every rank, at every t and modulo every p, and
+    S's maximal minors are the matrix's times nonzero constants.  The costs
+    sit in a heap; a pivot changes the costs of the entries of the rows it
+    cleared and of the columns of its row, which are pushed again, and an
+    entry popped with a cost other than its current one is stale.  S keeps
+    the order of the rows and columns it has left, each row divided by the
+    content of its integer coefficients.
     """
     nrows = 1 + max((max(column) for column in columns if column), default=-1)
-    rows: list[dict[int, PolyT]] = [{} for _ in range(nrows)]
+    rows: list[dict[int, tuple]] = [{} for _ in range(nrows)]
     for j, column in enumerate(columns):
         for i, e in column.items():
             rows[i][j] = e
@@ -187,13 +206,13 @@ def _cancel_units(columns: list[dict[int, PolyT]]) -> tuple[int, list[list[PolyT
     def cost(i: int, j: int) -> int:
         return (len(rows[i]) - 1) * (len(cols[j]) - 1)
 
-    heap = [(cost(i, j), i, j) for i, row in enumerate(rows) for j, e in row.items() if len(e.coeffs) == 1]
+    heap = [(cost(i, j), i, j) for i, row in enumerate(rows) for j, e in row.items() if len(e) == 1]
     heapify(heap)
     k = 0
     while heap:
         c, p, q = heappop(heap)
         a = rows[p].get(q)
-        if a is None or len(a.coeffs) != 1 or c != cost(p, q):
+        if a is None or len(a) != 1 or c != cost(p, q):
             continue
         pivot_row, rows[p] = rows[p], {}
         del pivot_row[q]
@@ -201,13 +220,19 @@ def _cancel_units(columns: list[dict[int, PolyT]]) -> tuple[int, list[list[PolyT
             cols[j].discard(p)
         cleared, cols[q] = cols[q], set()
         cleared.discard(p)
-        inv = 1 / a.coeffs[0]
+        a = a[0]
         for i in cleared:
             row = rows[i]
-            f = row.pop(q) * inv
+            f = row.pop(q)
+            if a == -1:
+                f = tuple(-x for x in f)
+            elif a != 1:
+                for j, y in row.items():
+                    row[j] = tuple(a * x for x in y)
+            neg_f = tuple(-x for x in f)
             for j, x in pivot_row.items():
                 y = row.get(j)
-                z = -(f * x) if y is None else y - f * x
+                z = _zmul(neg_f, x) if y is None else _zsub(y, _zmul(f, x))
                 if z:
                     row[j] = z
                     cols[j].add(i)
@@ -217,20 +242,24 @@ def _cancel_units(columns: list[dict[int, PolyT]]) -> tuple[int, list[list[PolyT
         k += 1
         for i in cleared:
             for j, e in rows[i].items():
-                if len(e.coeffs) == 1:
+                if len(e) == 1:
                     heappush(heap, (cost(i, j), i, j))
         for j in pivot_row:
             for i in cols[j]:
-                if len(rows[i][j].coeffs) == 1:
+                if len(rows[i][j]) == 1:
                     heappush(heap, (cost(i, j), i, j))
     live = [row for row in rows if row]
     kept = sorted({j for row in live for j in row})
-    return k, [[row.get(j, ZERO) for j in kept] for row in live]
+    residual = []
+    for row in live:  # divided by its content, which the row scalings build up
+        g = gcd(*(x for e in row.values() for x in e))
+        residual.append([PolyT._wrap(tuple(Fraction(x // g) for x in row[j])) if j in row else ZERO for j in kept])
+    return k, residual
 
 
 def generic_rank(entries: list[list[PolyT]]) -> int:
     """Rank over the fraction field Q(t)."""
-    k, residual = _cancel_units(_sparse_columns(entries))
+    k, residual = _cancel_units(_integer_columns(entries))
     return k + bareiss(residual)[0]
 
 
@@ -289,7 +318,7 @@ def rank_modulo(entries: list[list[PolyT]], p: PolyT) -> int:
 def special_locus_for_matrix(entries: list[list[PolyT]]) -> list[PolyT]:
     """Monic irreducible conditions where this matrix's rank drops; the
     one-matrix case of ``_ranks_and_locus``."""
-    return [cond for cond, _ in _ranks_and_locus([_sparse_columns(entries)])[1]]
+    return [cond for cond, _ in _ranks_and_locus([_integer_columns(entries)])[1]]
 
 
 def _special_ranks(
@@ -336,9 +365,12 @@ def boundary_matrices(system: ChainComplexSystem, w: int, max_degree: Optional[i
     return (boundary_matrix(system, m, w) for m in range(1, bound + 1))
 
 
-def _ranks_and_locus(matrices: list[list[dict[int, PolyT]]]) -> tuple[list[int], list[tuple[PolyT, list[int]]]]:
+def _ranks_and_locus(
+    matrices: list[list[dict[int, tuple[int, ...]]]],
+) -> tuple[list[int], list[tuple[PolyT, list[int]]]]:
     """Generic ranks, and the special conditions with the ranks of all
-    matrices there, each matrix given by its sparse columns.  Each matrix's
+    matrices there, each matrix given by its sparse integer columns (a
+    matrix's scale changes none of them).  Each matrix's
     unit pivots are cancelled, then its residual, if not empty, is
     eliminated once (only the rank and the last pivot are kept) and
     ``_special_ranks`` runs on the residuals; the k unit pivots add to every
@@ -474,17 +506,19 @@ def betti_piecewise(system: ChainComplexSystem, w: int, max_degree: Optional[int
 
 
 def _check_complex(matrices: list[BoundaryMatrix]):
-    """d_m . d_{m+1} = 0 as matrices over Q[t], on the sparse columns.
+    """d_m . d_{m+1} = 0, exactly, on the sparse integer columns.
 
     Column j of the product is the sum of B[k][j] times column k of A over
-    the nonzero B[k][j]; every entry it does not reach is an empty sum.
+    the nonzero B[k][j]; every entry it does not reach is an empty sum.  The
+    product of the integer columns is the product of the matrices times
+    A.scale * B.scale, which is nonzero, so it vanishes exactly when d.d does.
     """
     for A, B in zip(matrices, matrices[1:]):
         a_cols = A.columns
         for b_col in B.columns:
-            acc: dict[int, PolyT] = {}
+            acc: dict[int, tuple] = {}
             for k, b in b_col.items():
                 for i, a in a_cols[k].items():
-                    add_term(acc, i, a * b)
+                    _zadd_term(acc, i, _zmul(a, b))
             if acc:
                 raise RuntimeError(f"d.d != 0 between degrees {A.m} and {B.m}")

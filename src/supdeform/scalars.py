@@ -6,7 +6,8 @@ floating point anywhere in this package.  Rationals are stdlib ``Fraction``;
 polynomials are dense coefficient tuples (degrees stay tiny in practice).
 Factoring over Q is complete (Berlekamp-Hensel-Zassenhaus over Z), so the
 conditions of a special locus are irreducible; it shares the arithmetic of
-integer coefficient tuples with the Bareiss elimination over Z[t].
+integer coefficient tuples with the boundary matrices over Z[t] (assembly,
+the d.d check, unit cancellation and the Bareiss elimination).
 """
 
 from __future__ import annotations
@@ -215,26 +216,7 @@ class PolyT:
         return PolyT(tuple(k * c for k, c in enumerate(self.coeffs) if k))
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if k == 0:
-                parts.append(format_rational(c))
-            else:
-                var = "t" if k == 1 else f"t^{k}"
-                if c == 1:
-                    parts.append(var)
-                elif c == -1:
-                    parts.append(f"-{var}")
-                else:
-                    parts.append(f"{format_rational(c)}*{var}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _poly_text((c.numerator, c.denominator) for c in self.coeffs)
 
     def __repr__(self) -> str:
         return f"PolyT({self})"
@@ -243,6 +225,40 @@ class PolyT:
 ZERO = PolyT()
 ONE = PolyT((1,))
 T = PolyT((0, 1))
+
+
+def _poly_text(coeffs) -> str:
+    """The text of a polynomial from its coefficients, ascending in t, each
+    a (numerator, positive denominator) pair in lowest terms."""
+    parts = []
+    for k, (n, d) in enumerate(coeffs):
+        if not n:
+            continue
+        text = str(n) if d == 1 else f"{n}/{d}"
+        if k == 0:
+            parts.append(text)
+        else:
+            var = "t" if k == 1 else f"t^{k}"
+            if d != 1 or n not in (1, -1):
+                parts.append(f"{text}*{var}")
+            else:
+                parts.append(var if n == 1 else f"-{var}")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
+
+
+def format_over(numerators: tuple, den: int) -> str:
+    """``str`` of the polynomial with coefficients n / den (den > 0) for n in
+    the integer tuple numerators, without building its Fractions."""
+    pairs = []
+    for n in numerators:
+        g = gcd(n, den)  # den when n is 0
+        pairs.append((n // g, den // g))
+    return _poly_text(pairs)
 
 
 def _as_poly(x):
@@ -407,8 +423,9 @@ def rational_roots(p: PolyT) -> set[Fraction]:
     return {-f.coeffs[0] for f in irreducible_factors(p) if f.degree == 1}
 
 
-# Integer coefficient tuples, ascending in t: Z[t] for the Bareiss elimination
-# and the factorization, and F_p[t] (coefficients in [0, p), no trailing zeros).
+# Integer coefficient tuples, ascending in t: Z[t] for the boundary matrices,
+# the Bareiss elimination and the factorization, and F_p[t] (coefficients in
+# [0, p), no trailing zeros).
 def _zmul(a: tuple, b: tuple) -> tuple:
     """Product of two nonzero integer coefficient tuples."""
     if len(b) == 1:
@@ -423,6 +440,26 @@ def _zmul(a: tuple, b: tuple) -> tuple:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return tuple(out)  # Z is a domain: the leading coefficient is nonzero
+
+
+def _zadd_term(terms: dict, key, nums: tuple) -> None:
+    """Add the nonzero integer coefficient tuple nums to terms[key], dropping
+    the key when the sum is zero: ``add_term`` over Z[t]."""
+    a = terms.get(key)
+    if a is None:
+        terms[key] = nums
+        return
+    if len(a) < len(nums):
+        a, nums = nums, a
+    out = list(a)
+    for k, y in enumerate(nums):
+        out[k] += y
+    while out and not out[-1]:
+        out.pop()
+    if out:
+        terms[key] = tuple(out)
+    else:
+        del terms[key]
 
 
 def _zsub(a: tuple, b: tuple) -> tuple:

@@ -4,6 +4,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -13,13 +14,14 @@ from hypothesis import strategies as st
 
 from supdeform import homology
 from supdeform.brackets import DeformationSpec, FSpec
-from supdeform.chains import ChainComplexSystem, ChainElement
+from supdeform.chains import ChainComplexSystem, ChainElement, normalize
 from supdeform.cli import main
 from supdeform.config import load_config
 from supdeform.homology import (
     BoundaryMatrix,
     _cancel_units,
     _check_complex,
+    _integer_columns,
     _ranks_and_locus,
     bareiss,
     betti_piecewise,
@@ -32,7 +34,7 @@ from supdeform.homology import (
     special_locus_for_matrix,
 )
 from supdeform.liealg import OneForm, solvable2
-from supdeform.scalars import ONE, PolyT, T, ZERO, irreducible_factors, poly, poly_gcd, poly_xgcd
+from supdeform.scalars import ONE, PolyT, T, ZERO, add_term, irreducible_factors, poly, poly_gcd, poly_xgcd
 
 AFF_G0P = str(Path(__file__).resolve().parent.parent / "bench" / "configs" / "aff1-aff1-g0prime.cfg")
 
@@ -368,14 +370,20 @@ def test_row_scaled_bareiss_matches_dense_reference(entries):
     assert bareiss(entries) == _dense_bareiss(entries)
 
 
-_units = st.sampled_from([-2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3)]).map(PolyT.const)
+_integer_units = st.sampled_from([-3, -2, -1, 1, 2, 3]).map(PolyT.const)
+_rational_units = st.sampled_from([-2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3)]).map(PolyT.const)
 _linear_polys = st.builds(
     lambda c, lead: PolyT([Fraction(c), Fraction(lead)]), st.integers(-3, 3), st.sampled_from([-2, -1, 1, 2, 3])
+)
+_rational_linear_polys = st.builds(
+    lambda c, lead: PolyT([c, lead]),
+    st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3])),
+    st.sampled_from([-2, -1, Fraction(1, 2), Fraction(-3, 2), 3]),
 )
 
 
 @st.composite
-def _unit_matrices(draw):
+def _unit_matrices(draw, units, linear):
     """Up to 5 x 5, often square; a nonzero entry is a constant with
     probability 0 (so no unit pivot exists), 0.3 or 0.7, else of degree 1.
     The last row is sometimes a rational combination of two others."""
@@ -387,7 +395,7 @@ def _unit_matrices(draw):
     def entry():
         if draw(st.floats(0, 1)) >= density:
             return ZERO
-        return draw(_units if draw(st.floats(0, 1)) < unit_share else _linear_polys)
+        return draw(units if draw(st.floats(0, 1)) < unit_share else linear)
 
     rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
     if nrows >= 3 and draw(st.booleans()):
@@ -396,18 +404,32 @@ def _unit_matrices(draw):
     return rows
 
 
-def _columns(entries):
-    """The nonzero entries of a dense matrix by column, row index -> entry."""
-    return [{r: row[c] for r, row in enumerate(entries) if not row[c].is_zero()} for c in range(len(entries[0]))]
+def _is_integer_tuple(e):
+    return isinstance(e, tuple) and e and e[-1] and all(type(x) is int for x in e)
 
 
-@settings(max_examples=150, deadline=None)
-@given(_unit_matrices(), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(_unit_matrices(_integer_units, _linear_polys), _unit_matrices(_rational_units, _rational_linear_polys)),
+    st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)),
+)
 def test_unit_cancellation_matches_whole_matrix(entries, t0):
-    """k unit pivots plus the residual's rank is the whole matrix's rank,
-    generically, at t0 and modulo irreducible quadratics, and both paths
-    print the same special conditions with the same ranks."""
-    k, residual = _cancel_units(_columns(entries))
+    """On the integer columns of a matrix over Z[t] (unit pivots +-1, +-2,
+    +-3) or over Q[t] (columns scaled by ``_integer_columns``), k unit pivots
+    plus the residual's rank is the whole matrix's rank, generically, at t0
+    and modulo irreducible quadratics, and both paths print the same special
+    conditions with the same ranks."""
+    columns = _integer_columns(entries)
+    for c, column in enumerate(columns):
+        assert set(column) == {r for r, row in enumerate(entries) if row[c]}
+        assert all(_is_integer_tuple(e) for e in column.values())
+        if column:  # the column over Q[t] times one positive integer, 1 if it is over Z[t]
+            r, e = next(iter(column.items()))
+            scale = e[-1] / entries[r][c].leading
+            assert scale > 0 and scale.denominator == 1
+            assert scale == 1 or any(x.denominator > 1 for r in column for x in entries[r][c].coeffs)
+            assert all(e == tuple(x * scale for x in entries[r][c].coeffs) for r, e in column.items())
+    k, residual = _cancel_units(columns)
     if all(e.degree != 0 for row in entries for e in row):
         assert k == 0
     assert all(any(row) for row in residual) and all(any(col) for col in zip(*residual))
@@ -418,9 +440,9 @@ def test_unit_cancellation_matches_whole_matrix(entries, t0):
     for p in (poly(1, 0, 1), poly(-2, 0, 1)):
         assert k + rank_modulo(residual, p) == rank_modulo(entries, p)
     whole = homology._special_ranks([entries], [rank], [pivots[-1] if rank else ONE])
-    assert [(str(c), r) for c, r in _ranks_and_locus([_columns(entries)])[1]] == [(str(c), r) for c, r in whole]
+    assert [(str(c), r) for c, r in _ranks_and_locus([columns])[1]] == [(str(c), r) for c, r in whole]
     if len(entries) == len(entries[0]) == rank:
-        # det M = +- (product of the unit pivots, a nonzero constant) * det S
+        # det M = (a nonzero constant: unit pivots, row and column scales) * det S
         last = residual_pivots[-1] if residual_rank else ONE
         ratio, rest = divmod(homology.det_poly(entries), last)
         assert rest.is_zero() and ratio.degree == 0
@@ -546,8 +568,10 @@ def test_locus_union_stays_pairwise_coprime():
     """One matrix's last pivot is a reducible quartic, another's one of its
     factors; the union holds each irreducible factor once."""
     a, b = poly(Fraction(1, 2), 0, 1), poly(Fraction(2, 3), 0, 1)
-    whole = BoundaryMatrix(2, 0, ["u"], ["v"], [{0: a * b}])
-    part = BoundaryMatrix(3, 0, ["v"], ["x"], [{0: a}])
+    # a * b = 1/3 + 7/6 t^2 + t^4 and a = 1/2 + t^2, over the scales 6 and 2
+    whole = BoundaryMatrix(2, 0, ["u"], ["v"], [{0: (2, 0, 7, 0, 6)}], 6)
+    part = BoundaryMatrix(3, 0, ["v"], ["x"], [{0: (1, 0, 2)}], 2)
+    assert whole.entries == [[a * b]] and part.entries == [[a]]
     assert special_locus_for_matrix(whole.entries) == [a, b]
     assert _ranks_and_locus([whole.columns, part.columns]) == ([1, 1], [(a, [0, 0]), (b, [0, 1])])
 
@@ -558,10 +582,11 @@ def test_report_locus_is_its_special_conditions(monkeypatch):
     a, b = poly(Fraction(1, 2), 0, 1), poly(Fraction(2, 3), 0, 1)
     matrices = [
         BoundaryMatrix(1, 0, [], ["u"], [{}]),
-        BoundaryMatrix(2, 0, ["u"], ["v"], [{0: a * b}]),
+        BoundaryMatrix(2, 0, ["u"], ["v"], [{0: (2, 0, 7, 0, 6)}], 6),
         BoundaryMatrix(3, 0, ["v"], ["x0", "x1"], [{}, {}]),
-        BoundaryMatrix(4, 0, ["x0", "x1"], ["y"], [{0: a, 1: ONE}]),
+        BoundaryMatrix(4, 0, ["x0", "x1"], ["y"], [{0: (1, 0, 2), 1: (2,)}], 2),
     ]
+    assert matrices[1].entries == [[a * b]] and matrices[3].entries == [[a], [ONE]]
     reduced = []
     original = homology.rank_modulo
 
@@ -575,13 +600,13 @@ def test_report_locus_is_its_special_conditions(monkeypatch):
     assert report.locus == [a, b]
     assert [case.condition for case in report.special] == report.locus
     assert [case.ranks for case in report.special] == [[0, 0, 0, 1], [0, 0, 0, 1]]
-    assert reduced and all(entries == [[a * b]] for entries in reduced)  # d_2's residual only
+    assert reduced and all(entries == [[6 * a * b]] for entries in reduced)  # d_2's residual only
     assert special_locus(None, 0) == [a, b]
 
 
 def test_betti_piecewise_eliminates_each_matrix_once(monkeypatch):
-    """Each matrix's unit pivots are cancelled, and only the non-empty
-    residuals are eliminated and specialized."""
+    """Each matrix's unit pivots are cancelled on its integer columns, and
+    only the non-empty residuals are eliminated and specialized."""
     config = load_config(AFF_G0P)
     system = ChainComplexSystem(config.deformation, config.extension)
     calls = {"bareiss": 0, "det_poly": 0}
@@ -602,8 +627,10 @@ def test_betti_piecewise_eliminates_each_matrix_once(monkeypatch):
         built.append(boundary_matrix(system, m, w))
         return built[-1]
 
-    def cancelling(entries):
-        k, residual = _cancel_units(entries)
+    def cancelling(columns):
+        assert columns is built[len(residuals)].columns
+        assert all(_is_integer_tuple(e) for column in columns for e in column.values())
+        k, residual = _cancel_units(columns)
         residuals.append(residual)
         return k, residual
 
@@ -643,11 +670,27 @@ def test_check_complex_raises_on_nonzero_composite():
     """A.B vanishes except in its last entry, which only the full sparse
     product reaches."""
     # A = [[1, t, 0], [0, 0, t]], B_ok = [[t, 0], [-1, 0], [0, 0]]; B_bad has a 1 in its last entry
-    A = BoundaryMatrix(2, 0, ["u0", "u1"], ["v0", "v1", "v2"], [{0: ONE}, {0: T}, {1: T}])
-    B_ok = BoundaryMatrix(3, 0, ["v0", "v1", "v2"], ["x0", "x1"], [{0: T, 1: -ONE}, {}])
+    A = BoundaryMatrix(2, 0, ["u0", "u1"], ["v0", "v1", "v2"], [{0: (1,)}, {0: (0, 1)}, {1: (0, 1)}])
+    B_ok = BoundaryMatrix(3, 0, ["v0", "v1", "v2"], ["x0", "x1"], [{0: (0, 1), 1: (-1,)}, {}])
     _check_complex([A, B_ok])
-    B_bad = BoundaryMatrix(3, 0, ["v0", "v1", "v2"], ["x0", "x1"], [{0: T, 1: -ONE}, {2: ONE}])
+    B_bad = BoundaryMatrix(3, 0, ["v0", "v1", "v2"], ["x0", "x1"], [{0: (0, 1), 1: (-1,)}, {2: (1,)}])
     with pytest.raises(RuntimeError, match=r"^d\.d != 0 between degrees 2 and 3$"):
+        _check_complex([A, B_bad])
+
+
+def test_check_complex_across_different_scales():
+    """Adjacent matrices over the scales 2 and 3: A = [[1/2, t/2, 1]] and
+    B = [[t/3, 2/3], [-1/3, -2/3], [0, (t - 1)/3]], so A.B = 0; with B's
+    last entry t/3 instead, A.B = [[0, 1/3]]."""
+    A = BoundaryMatrix(1, 0, ["u"], ["v0", "v1", "v2"], [{0: (1,)}, {0: (0, 1)}, {0: (2,)}], 2)
+    first = {0: (0, 1), 1: (-1,)}
+    B_ok = BoundaryMatrix(2, 0, A.cols, ["x0", "x1"], [first, {0: (2,), 1: (-2,), 2: (-1, 1)}], 3)
+    B_bad = BoundaryMatrix(2, 0, A.cols, ["x0", "x1"], [first, {0: (2,), 1: (-2,), 2: (0, 1)}], 3)
+    (a_row,) = A.entries
+    products = [[sum((a * b for a, b in zip(a_row, col)), ZERO) for col in zip(*B.entries)] for B in (B_ok, B_bad)]
+    assert products == [[ZERO, ZERO], [ZERO, poly(Fraction(1, 3))]]
+    _check_complex([A, B_ok])
+    with pytest.raises(RuntimeError, match=r"^d\.d != 0 between degrees 1 and 2$"):
         _check_complex([A, B_bad])
 
 
@@ -679,6 +722,18 @@ def test_betti_g0p_weight_minus_seven_answer_pinned(capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "1e6056deda6b08f4ae8b67ef05f98f2c68aa8c189d717a459550c7b1a4d79932"
+    )
+
+
+def test_betti_g0p_weight_minus_eight_answer_pinned(capsys):
+    """dims (0,12,184,691,1196,1146,680,292,108,34,8,1), generic Betti
+    (0,0,0,0,6,12,6,0,0,0,0,0), locus {t}, and at t = 0
+    (0,0,0,0,7,16,13,7,4,1,0,0): the report that the whole-matrix
+    elimination and the unit-pivot cancellation both gave."""
+    assert main(["betti", "--config", AFF_G0P, "--weight", "-8", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "57c49da59e25c38412fdc1e990ce8d9cf19b4758f0cda0b0cd332f4293d76cc5"
     )
 
 
@@ -733,17 +788,45 @@ def test_filiform6_g0p_weight_minus_three_answer_pinned(tmp_path, capsys):
     )
 
 
+def _reference_bracket(system, g1, g2):
+    """Reference: [g1, g2] in chain generators over Q[t], a list of
+    (generator, PolyT) read straight from the bracket table."""
+    items = system.brackets.items
+    value = system.brackets.image(items[g1].element.terms, items[g2].element.terms)
+    out = [(system.form_index[ids], coeff) for ids, coeff in value.items() if isinstance(ids, tuple)]
+    coords = [value.get(i, ZERO) for i in range(1, system.spec.algebra.n + 1)]
+    if any(coords):
+        out.extend(system._vector_to_generators(coords))
+    return out
+
+
+def _reference_boundary_word(system, word):
+    """Reference: the boundary of one word as {canonical word: PolyT}, by the
+    pair loop and sign rule of ``boundary_word`` on Q[t] coefficients."""
+    parity = system.parity
+    terms = {}
+    for i in range(len(word)):
+        for j in range(i + 1, len(word)):
+            between = sum(parity[g] for g in word[i + 1 : j]) if parity[word[i]] else 0
+            sgn = -1 if (i + between) % 2 else 1
+            for gen, coeff in _reference_bracket(system, word[i], word[j]):
+                norm = normalize(word[:i] + word[i + 1 : j] + (gen,) + word[j + 1 :], parity)
+                if norm is not None:
+                    add_term(terms, norm[1], coeff if sgn * norm[0] > 0 else -coeff)
+    return terms
+
+
 def _dense_boundary(system, m, w):
     """Reference: the dense matrix entries[r][c] = coefficient of row word r
-    in the boundary of column word c, every entry stored."""
+    in the boundary of column word c over Q[t], every entry stored."""
     cols = system.enumerate_basis(m, w)
     rows = system.enumerate_basis(m - 1, w) if m >= 2 else []
     entries = [[ZERO] * len(cols) for _ in rows]
     for c, word in enumerate(cols):
-        image = system.boundary_word(word)
+        image = _reference_boundary_word(system, word)
         for r, target in enumerate(rows):
-            entries[r][c] = image.coefficient(target)
-        assert sum(1 for row in entries if not row[c].is_zero()) == len(image.terms)
+            entries[r][c] = image.get(target, ZERO)
+        assert sum(1 for row in entries if not row[c].is_zero()) == len(image)
     return entries
 
 
@@ -764,19 +847,27 @@ def _shipped_complexes():
 
 @pytest.mark.filterwarnings("ignore:phi is not closed")
 def test_sparse_assembly_matches_dense_reference(tmp_path):
+    """Every column over the matrix's scale is the boundary that the pair
+    loop gives over Q[t]; entries are nonzero integer tuples without trailing
+    zeros, and the scale is the lcm of the denominators of the column words."""
     path = tmp_path / "filiform6-g0prime.cfg"
     path.write_text(FILIFORM6_G0P)
     config = load_config(str(path))
     filiform = (ChainComplexSystem(config.deformation, config.extension), -3, None)
     checked = 0
+    scales = set()
     for system, w, max_degree in [*_shipped_complexes(), filiform]:
         for M in homology.boundary_matrices(system, w, max_degree):
             dense = _dense_boundary(system, M.m, w)
             assert len(M.columns) == len(M.cols)
-            assert all(not e.is_zero() for column in M.columns for e in column.values())
-            assert M.columns == [
+            assert all(_is_integer_tuple(e) for column in M.columns for e in column.values())
+            assert M.scale == lcm(*(system._boundary_terms(word)[0] for word in M.cols))
+            rational = [{r: PolyT([Fraction(x, M.scale) for x in e]) for r, e in column.items()} for column in M.columns]
+            assert rational == [
                 {r: row[c] for r, row in enumerate(dense) if not row[c].is_zero()} for c in range(len(M.cols))
             ]
             assert M.entries == dense
+            scales.add(M.scale)
             checked += 1
     assert checked == 47  # 38 matrices from the configs and aff(1)+aff(1), 9 from filiform-6
+    assert scales > {1}

@@ -13,6 +13,8 @@ from supdeform.scalars import (
     PolyT,
     T,
     ZERO,
+    _zadd_term,
+    format_over,
     irreducible_factors,
     poly,
     poly_gcd,
@@ -228,3 +230,31 @@ def test_divmod_matches_long_division(p, d):
     q, r = divmod(p, d)
     assert (q, r) == _plain_divmod(p, d)
     assert _normalized(q) and _normalized(r)
+
+
+def test_text_of_pinned_polynomials():
+    for p, text in (
+        (ZERO, "0"),
+        (poly(-1, Fraction(-3, 2)), "-1 - 3/2*t"),
+        (T, "t"),
+        (poly(0, 0, -1), "-t^2"),
+        (poly(Fraction(1, 2), 1, 0, Fraction(-2, 3)), "1/2 + t - 2/3*t^3"),
+        (poly(0, -1, 3), "-t + 3*t^2"),
+    ):
+        assert str(p) == text
+
+
+@given(st.lists(st.integers(-12, 12), max_size=4).filter(lambda xs: not xs or xs[-1]).map(tuple), st.integers(1, 6))
+def test_format_over_matches_the_rational_polynomial(numerators, den):
+    assert format_over(numerators, den) == str(PolyT([Fraction(n, den) for n in numerators]))
+
+
+@given(factors.filter(bool), factors.filter(bool))
+def test_integer_term_sum_matches_polynomial_sum(p, q):
+    """60 clears every denominator of ``small_fractions``; a zero sum drops
+    its key, as ``add_term`` does."""
+    a, b = (tuple(int(60 * c) for c in x.coeffs) for x in (p, q))
+    terms = {"x": a}
+    _zadd_term(terms, "y", b)
+    _zadd_term(terms, "x", b)
+    assert terms.get("x", ()) == tuple(int(60 * c) for c in (p + q).coeffs) and terms["y"] == b
