@@ -145,7 +145,7 @@ def cmd_chain(config: RunConfig, args) -> int:
     for w in _weights(config, args):
         per_degree = [
             {"m": M.m, "basis": [system.word_label(word) for word in M.cols], "boundary": _boundary_rows(M)}
-            for M in homology.boundary_matrices(system, w, config.max_degree)
+            for M in homology.boundary_matrices(system, w)
         ]
         blocks.append({"weight": w, "chain": per_degree})
     payload = {"command": "chain", "weights": blocks}
@@ -176,7 +176,7 @@ def _boundary_rows(M: homology.BoundaryMatrix) -> list[list[str]]:
 
 def cmd_betti(config: RunConfig, args) -> int:
     system = ChainComplexSystem(config.deformation, config.extension)
-    reports = [homology.betti_piecewise(system, w, config.max_degree) for w in _weights(config, args)]
+    reports = [homology.betti_piecewise(system, w) for w in _weights(config, args)]
     payload = {"command": "betti", "reports": [r.to_json() for r in reports]}
     _emit(payload, _resolved_format(config, args), lambda: "\n\n".join(r.to_text() for r in reports))
     return 0

@@ -20,7 +20,6 @@ Grammar (see README for the full description)::
 
     [run]
     weights = -3
-    max_degree = 8           # optional
     format = text            # text | json
 
 Comments start with '#'.  Parsing failures raise ConfigError naming the
@@ -51,7 +50,6 @@ class RunConfig:
     deformation: DeformationSpec
     extension: str  # none | g0prime | g0doubleprime
     weights: list[int]
-    max_degree: Optional[int]
     output_format: str  # text | json
 
 
@@ -86,7 +84,6 @@ def load_config(path: str) -> RunConfig:
     f_table: dict[tuple[int, int], tuple[int, Fraction]] = {}
     subalgebra = "none"
     weights: Optional[list[int]] = None
-    max_degree = None
     output_format = "text"
 
     for lineno, raw in enumerate(raw_lines, start=1):
@@ -164,11 +161,6 @@ def load_config(path: str) -> RunConfig:
                     weights = [int(tok) for tok in value.split()]
                 except ValueError:
                     _fail(lineno, f"weights must be integers, got {value!r}")
-            elif key == "max_degree":
-                try:
-                    max_degree = int(value)
-                except ValueError:
-                    _fail(lineno, f"max_degree must be an integer, got {value!r}")
             elif key == "format":
                 if value not in ("text", "json"):
                     _fail(lineno, f"format must be text or json, got {value!r}")
@@ -255,6 +247,5 @@ def load_config(path: str) -> RunConfig:
         deformation=deformation,
         extension=subalgebra,
         weights=weights if weights is not None else [],
-        max_degree=max_degree,
         output_format=output_format,
     )

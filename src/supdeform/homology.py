@@ -4,7 +4,7 @@ A boundary matrix is held over Z[t], one scale per matrix: sparse columns,
 row index -> nonzero integer coefficient tuple, over one positive integer
 scale, filled straight from the integer boundary of each word
 (``ChainComplexSystem._boundary_terms``); only the small residual S below
-is stored dense, over Q[t].  d.d = 0 is checked exactly on the integer
+is stored dense, still over Z[t].  d.d = 0 is checked exactly on the integer
 columns: the product of two of them is the product of the matrices times
 the two scales, which are nonzero.  Each matrix is then reduced by its unit
 pivots (``_cancel_units``): while some entry is a nonzero constant a, the
@@ -17,25 +17,23 @@ and modulo every condition; and each maximal minor of S is a maximal minor
 of the matrix times a nonzero constant.  This is the reduction of a chain
 complex by its invertible incidences.
 
-S, usually small, is then eliminated once, fraction-free (Bareiss), skipping
-work on zero entries.  The elimination runs over Z[t], on integer
-coefficient tuples, after each row is scaled by the lcm of its denominators;
-dividing the pivots by the row scales gives back the pivots of the same
-elimination over Q[t].  k plus its rank is the generic rank, and its last
-pivot, a nonzero maximal minor (Sylvester's identity), is kept for the
-special locus.  Every condition where some rank drops divides some last
-pivot, so the candidates are the distinct irreducible factors over Q of the
-last pivots.  One pass (``_special_ranks``) computes the exact ranks of the
-residuals on each candidate with ``qlinalg.echelon``: by exact substitution
-at a rational root, over the field Q[t]/(p) otherwise, and only for the
-residuals whose last pivot it divides; every other one keeps its generic
-rank there.  A candidate is special exactly when some rank drops, and those
-ranks (plus each k) are the ones the Betti report prints, so the report's
-locus is the list of its special conditions: monic, irreducible and
-distinct, whatever the order of the bases, of the unit pivots or the
-scales.  The gcd of all maximal minors (``minors_gcd``) defines a matrix's
-locus; it forms every minor, so it serves only as the reference the tests
-compare against, as ``bareiss`` on a whole matrix does for the ranks.
+S, usually small, is then eliminated once, fraction-free (Bareiss) on its
+integer coefficient tuples, skipping work on zero entries.  k plus its rank
+is the generic rank, and its last pivot, a nonzero maximal minor
+(Sylvester's identity), is kept for the special locus.  Every condition
+where some rank drops divides some last pivot, so the candidates are the
+distinct irreducible factors over Q of the last pivots.  One pass
+(``_special_ranks``) computes the exact ranks of the residuals on each
+candidate with ``qlinalg.echelon``: by exact substitution at a rational
+root, over the field Q[t]/(p) otherwise, and only for the residuals whose
+last pivot it divides; every other one keeps its generic rank there.  A
+candidate is special exactly when some rank drops, and those ranks (plus
+each k) are the ones the Betti report prints, so the report's locus is the
+list of its special conditions: monic, irreducible and distinct, whatever
+the order of the bases, of the unit pivots or the scales.  The gcd of all
+maximal minors (``minors_gcd``) defines a matrix's locus; it forms every
+minor, so it serves only as the reference the tests compare against, as
+``bareiss`` on a whole matrix does for the ranks.
 """
 
 from __future__ import annotations
@@ -116,28 +114,21 @@ def _integer_columns(entries: list[list[PolyT]]) -> list[dict[int, tuple[int, ..
     return columns
 
 
-def bareiss(entries: list[list[PolyT]]) -> tuple[int, list[PolyT]]:
-    """Fraction-free elimination; returns (rank, pivot sequence) over Q[t].
+def bareiss(rows: list[list[tuple[int, ...]]]) -> tuple[int, list[tuple[int, ...]]]:
+    """Fraction-free elimination over Z[t]; returns (rank, pivot sequence).
 
-    Each row is first scaled by the lcm of its coefficient denominators, and
-    the elimination runs on integer coefficient tuples, over Z[t].  Pivots
-    are chosen of minimal degree so the entries stay small (first such row;
-    a row's scale swaps with it).  A cross term with a zero factor is
-    skipped, and an entry that stays zero is not divided.  The k-th pivot is
-    a k x k minor of the scaled matrix (Sylvester's identity), so dividing it
-    by the scales of the first k pivot rows gives the k-th pivot of the same
-    elimination over Q[t].
+    The rows are dense, each entry an integer coefficient tuple (ascending in
+    t, no trailing zeros, () for zero); they are copied, not changed.  Pivots
+    are chosen of minimal degree so the entries stay small (first such row).
+    A cross term with a zero factor is skipped, and an entry that stays zero
+    is not divided.  The k-th pivot is a k x k minor of the matrix
+    (Sylvester's identity), an integer coefficient tuple like the entries.
     """
-    M, scales = [], []
-    for row in entries:
-        s = lcm(*(c.denominator for e in row for c in e.coeffs))
-        M.append([tuple(c.numerator * (s // c.denominator) for c in e.coeffs) for e in row])
-        scales.append(s)
+    M = [row[:] for row in rows]
     nrows = len(M)
     ncols = len(M[0]) if nrows else 0
-    pivots: list[PolyT] = []
+    pivots: list[tuple[int, ...]] = []
     prev = (1,)
-    scale = 1
     r = 0
     for c in range(ncols):
         if r >= nrows:
@@ -149,7 +140,6 @@ def bareiss(entries: list[list[PolyT]]) -> tuple[int, list[PolyT]]:
         if best is None:
             continue
         M[r], M[best] = M[best], M[r]
-        scales[r], scales[best] = scales[best], scales[r]
         pivot_row = M[r]
         piv = pivot_row[c]
         for i in range(r + 1, nrows):
@@ -171,17 +161,17 @@ def bareiss(entries: list[list[PolyT]]) -> tuple[int, list[PolyT]]:
                 for j in range(c + 1, ncols):
                     if row[j]:
                         row[j] = _zexact_div(_zmul(piv, row[j]), prev)
-        scale *= scales[r]
-        pivots.append(PolyT._wrap(tuple(Fraction(x, scale) for x in piv)))
+        pivots.append(piv)
         prev = piv
         r += 1
     return len(pivots), pivots
 
 
-def _cancel_units(columns: list[dict[int, tuple[int, ...]]]) -> tuple[int, list[list[PolyT]]]:
+def _cancel_units(columns: list[dict[int, tuple[int, ...]]]) -> tuple[int, list[list[tuple[int, ...]]]]:
     """(k, S): the number k of unit pivots cancelled from the matrix with
     these sparse integer columns, and the Schur complement S left over,
-    dense over Q[t] and without its empty rows and columns.
+    dense over Z[t] (integer coefficient tuples, () for zero) and without
+    its empty rows and columns.
 
     While some entry is a nonzero constant a, the one of least Markowitz cost
     (row nonzeros - 1) * (column nonzeros - 1), then least row and column,
@@ -253,7 +243,7 @@ def _cancel_units(columns: list[dict[int, tuple[int, ...]]]) -> tuple[int, list[
     residual = []
     for row in live:  # divided by its content, which the row scalings build up
         g = gcd(*(x for e in row.values() for x in e))
-        residual.append([PolyT._wrap(tuple(Fraction(x // g) for x in row[j])) if j in row else ZERO for j in kept])
+        residual.append([tuple(x // g for x in row.get(j, ())) for j in kept])
     return k, residual
 
 
@@ -264,12 +254,14 @@ def generic_rank(entries: list[list[PolyT]]) -> int:
 
 
 def det_poly(entries: list[list[PolyT]]) -> PolyT:
-    """Determinant up to sign (row swaps untracked); exact via Bareiss."""
+    """Determinant up to a nonzero rational factor (row swaps and the column
+    scales of ``_integer_columns`` untracked); exact via Bareiss."""
     n = len(entries)
     if n == 0:
         return ONE
-    rank, pivots = bareiss(entries)
-    return pivots[-1] if rank == n else ZERO
+    columns = _integer_columns(entries)
+    rank, pivots = bareiss([[column.get(r, ()) for column in columns] for r in range(n)])
+    return PolyT(pivots[-1]) if rank == n else ZERO
 
 
 def minors_gcd(entries: list[list[PolyT]], r: int) -> PolyT:
@@ -322,10 +314,11 @@ def special_locus_for_matrix(entries: list[list[PolyT]]) -> list[PolyT]:
 
 
 def _special_ranks(
-    matrices: list[list[list[PolyT]]], generic: list[int], last_pivots: list[PolyT]
+    matrices: list[list[list[tuple[int, ...]]]], generic: list[int], last_pivots: list[PolyT]
 ) -> list[tuple[PolyT, list[int]]]:
     """Each condition where some rank leaves its generic value, with the
-    ranks of all matrices there, sorted.
+    ranks of all matrices there, sorted; each matrix is dense over Z[t], as
+    ``bareiss`` takes it.
 
     The candidates are the distinct irreducible factors of the last pivots.
     A last pivot is a nonzero maximal minor (Sylvester's identity), so it is
@@ -336,16 +329,18 @@ def _special_ranks(
     special = []
     for cond in candidates:
         ranks = [
-            _rank_at(entries, cond) if (pivot % cond).is_zero() else rank
-            for entries, rank, pivot in zip(matrices, generic, last_pivots)
+            _rank_at(rows, cond) if (pivot % cond).is_zero() else rank
+            for rows, rank, pivot in zip(matrices, generic, last_pivots)
         ]
         if ranks != generic:  # a rank can only fall; betti_piecewise checks that
             special.append((cond, ranks))
     return sorted(special, key=lambda case: _poly_sort_key(case[0]))
 
 
-def _rank_at(entries: list[list[PolyT]], cond: PolyT) -> int:
-    """Exact rank on the zero set of the monic condition cond."""
+def _rank_at(rows: list[list[tuple[int, ...]]], cond: PolyT) -> int:
+    """Exact rank, on the zero set of the monic condition cond, of the matrix
+    with these dense rows over Z[t]."""
+    entries = [[PolyT(e) for e in row] for row in rows]
     if cond.degree == 1:
         return rank_at_rational(entries, -cond.coeffs[0])
     return rank_modulo(entries, cond)
@@ -355,14 +350,11 @@ def _poly_sort_key(p: PolyT):
     return (p.degree, tuple(p.coeffs))
 
 
-def boundary_matrices(system: ChainComplexSystem, w: int, max_degree: Optional[int]) -> Iterator[BoundaryMatrix]:
-    """d_1 .. d_bound of the weight-w complex, bound capped by max_degree,
-    built one at a time as they are consumed (``chain`` renders each one and
-    lets it go)."""
-    bound = system.max_length(w)
-    if max_degree is not None:
-        bound = min(bound, max_degree)
-    return (boundary_matrix(system, m, w) for m in range(1, bound + 1))
+def boundary_matrices(system: ChainComplexSystem, w: int) -> Iterator[BoundaryMatrix]:
+    """d_1 .. d_bound of the weight-w complex, bound its longest word, built
+    one at a time as they are consumed (``chain`` renders each one and lets
+    it go)."""
+    return (boundary_matrix(system, m, w) for m in range(1, system.max_length(w) + 1))
 
 
 def _ranks_and_locus(
@@ -382,16 +374,16 @@ def _ranks_and_locus(
         units.append(k)
         residuals.append(residual)
         ranks.append(rank)
-        last_pivots.append(pivots[-1] if rank else ONE)
+        last_pivots.append(PolyT(pivots[-1]) if rank else ONE)
     special = _special_ranks(residuals, ranks, last_pivots)
     return [k + r for k, r in zip(units, ranks)], [
         (cond, [k + r for k, r in zip(units, at)]) for cond, at in special
     ]
 
 
-def special_locus(system: ChainComplexSystem, w: int, max_degree: Optional[int] = None) -> list[PolyT]:
+def special_locus(system: ChainComplexSystem, w: int) -> list[PolyT]:
     """The conditions where some boundary rank of the weight-w complex drops."""
-    return [cond for cond, _ in _ranks_and_locus([M.columns for M in boundary_matrices(system, w, max_degree)])[1]]
+    return [cond for cond, _ in _ranks_and_locus([M.columns for M in boundary_matrices(system, w)])[1]]
 
 
 @dataclass
@@ -484,9 +476,9 @@ def _check_euler(dims: list[int], betti: list[int], context: str):
         raise RuntimeError(f"Euler characteristic mismatch ({context})")
 
 
-def betti_piecewise(system: ChainComplexSystem, w: int, max_degree: Optional[int] = None) -> BettiReport:
+def betti_piecewise(system: ChainComplexSystem, w: int) -> BettiReport:
     """Assemble the piecewise Betti report of the weight-w complex."""
-    matrices = list(boundary_matrices(system, w, max_degree))
+    matrices = list(boundary_matrices(system, w))
     degrees = [M.m for M in matrices]
     dims = [len(M.cols) for M in matrices]
     _check_complex(matrices)

@@ -183,6 +183,15 @@ class TestCli:
     def test_missing_file_exit_two(self, capsys):
         assert main(["betti", "--config", "/nonexistent.cfg"]) == 2
 
+    def test_max_degree_is_an_unknown_key(self, tmp_path, capsys):
+        """A cap on the chain degree cut the complex before its longest word
+        and printed a kernel as the top Betti number; the key is gone."""
+        text = (CONFIG_DIR / "dim2-extended.cfg").read_text().replace("[run]", "[run]\nmax_degree = 2")
+        assert main(["betti", "--config", write(tmp_path, text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown key 'max_degree' in [run]" in captured.err
+
     @pytest.mark.parametrize("command", ["chain", "betti"])
     def test_internal_failure_exits_one_without_traceback(self, monkeypatch, capsys, command):
         from supdeform import homology

@@ -11,6 +11,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from supdeform import homology
 from supdeform.brackets import DeformationSpec, FSpec
@@ -354,20 +355,40 @@ def _sparse_matrices(draw, polys=_small_polys):
     return rows
 
 
+def _integer_rows(entries):
+    """The rows of a matrix over Z[t] as integer coefficient tuples, () for zero."""
+    return [[tuple(int(x) for x in e.coeffs) for e in row] for row in entries]
+
+
 @settings(max_examples=150, deadline=None)
 @given(_sparse_matrices())
 def test_zero_aware_bareiss_matches_dense_reference(entries):
-    before = [row[:] for row in entries]
-    assert bareiss(entries) == _dense_bareiss(entries)
-    assert entries == before
+    rows = _integer_rows(entries)
+    before = [row[:] for row in rows]
+    rank, pivots = bareiss(rows)
+    assert (rank, [PolyT(p) for p in pivots]) == _dense_bareiss(entries)
+    assert all(_is_integer_tuple(p) for p in pivots)
+    assert rows == before
+
+
+_square_rational_matrices = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(_rational_polys, min_size=n, max_size=n), min_size=n, max_size=n)
+)
 
 
 @settings(max_examples=150, deadline=None)
-@given(_sparse_matrices(_rational_polys))
-def test_row_scaled_bareiss_matches_dense_reference(entries):
-    """Denominators 2, 3 and 5: rows get different scales, which must follow
-    their rows through the swaps and come off every pivot exactly."""
-    assert bareiss(entries) == _dense_bareiss(entries)
+@given(_square_rational_matrices)
+def test_det_poly_matches_sympy_up_to_a_constant(entries):
+    """Over Q[t], with denominators 2, 3 and 5: sympy's determinant shares
+    no code with ``_integer_columns`` or ``bareiss``."""
+    t = sympy.Symbol("t")
+    matrix = DomainMatrix.from_Matrix(_to_sympy(entries))
+    reference = sympy.Poly(matrix.domain.to_sympy(matrix.det()), t)
+    det = sympy.Poly(_to_sympy([[homology.det_poly(entries)]])[0, 0], t)
+    if reference.is_zero:
+        assert det.is_zero
+    else:
+        assert not det.is_zero and det.monic() == reference.monic()
 
 
 _integer_units = st.sampled_from([-3, -2, -1, 1, 2, 3]).map(PolyT.const)
@@ -433,17 +454,20 @@ def test_unit_cancellation_matches_whole_matrix(entries, t0):
     if all(e.degree != 0 for row in entries for e in row):
         assert k == 0
     assert all(any(row) for row in residual) and all(any(col) for col in zip(*residual))
-    rank, pivots = bareiss(entries)
+    assert all(e == () or _is_integer_tuple(e) for row in residual for e in row)
+    dense = [[column.get(r, ()) for column in columns] for r in range(len(entries))]
+    rank, pivots = bareiss(dense)
     residual_rank, residual_pivots = bareiss(residual)
     assert k + residual_rank == rank
-    assert k + rank_at_rational(residual, t0) == rank_at_rational(entries, t0)
+    rational = [[PolyT(e) for e in row] for row in residual]
+    assert k + rank_at_rational(rational, t0) == rank_at_rational(entries, t0)
     for p in (poly(1, 0, 1), poly(-2, 0, 1)):
-        assert k + rank_modulo(residual, p) == rank_modulo(entries, p)
-    whole = homology._special_ranks([entries], [rank], [pivots[-1] if rank else ONE])
+        assert k + rank_modulo(rational, p) == rank_modulo(entries, p)
+    whole = homology._special_ranks([dense], [rank], [PolyT(pivots[-1]) if rank else ONE])
     assert [(str(c), r) for c, r in _ranks_and_locus([columns])[1]] == [(str(c), r) for c, r in whole]
     if len(entries) == len(entries[0]) == rank:
         # det M = (a nonzero constant: unit pivots, row and column scales) * det S
-        last = residual_pivots[-1] if residual_rank else ONE
+        last = PolyT(residual_pivots[-1]) if residual_rank else ONE
         ratio, rest = divmod(homology.det_poly(entries), last)
         assert rest.is_zero() and ratio.degree == 0
 
@@ -612,7 +636,7 @@ def test_betti_piecewise_eliminates_each_matrix_once(monkeypatch):
     calls = {"bareiss": 0, "det_poly": 0}
     built = []
     residuals = []
-    specialized = []  # (residual entries, condition) per rank at a condition
+    specialized = []  # (residual rows, condition) per rank at a condition
 
     def counting(name):
         original = getattr(homology, name)
@@ -634,20 +658,17 @@ def test_betti_piecewise_eliminates_each_matrix_once(monkeypatch):
         residuals.append(residual)
         return k, residual
 
-    def at_rational(entries, t0):
-        specialized.append((entries, poly(-t0, 1)))
-        return rank_at_rational(entries, t0)
+    original_rank_at = homology._rank_at
 
-    def modulo(entries, p):
-        specialized.append((entries, p))
-        return rank_modulo(entries, p)
+    def rank_at(rows, cond):
+        specialized.append((rows, cond))
+        return original_rank_at(rows, cond)
 
     for name in calls:
         monkeypatch.setattr(homology, name, counting(name))
     monkeypatch.setattr(homology, "boundary_matrix", building)
     monkeypatch.setattr(homology, "_cancel_units", cancelling)
-    monkeypatch.setattr(homology, "rank_at_rational", at_rational)
-    monkeypatch.setattr(homology, "rank_modulo", modulo)
+    monkeypatch.setattr(homology, "_rank_at", rank_at)
     report = betti_piecewise(system, -4)
     assert [M.m for M in built] == report.degrees
     assert all(M.cols for M in built)
@@ -656,11 +677,11 @@ def test_betti_piecewise_eliminates_each_matrix_once(monkeypatch):
     assert calls["det_poly"] == 0
     assert calls["bareiss"] == sum(1 for S in residuals if S) == 3
     # a residual is specialized only where its last pivot vanishes, once each
-    last_pivots = {id(S): bareiss(S)[1][-1] for S in residuals if S}
+    last_pivots = {id(S): PolyT(bareiss(S)[1][-1]) for S in residuals if S}
     assert len(specialized) == 6
-    assert len({(id(entries), tuple(p.coeffs)) for entries, p in specialized}) == len(specialized)
-    for entries, p in specialized:
-        assert (last_pivots[id(entries)] % p).is_zero()
+    assert len({(id(rows), tuple(p.coeffs)) for rows, p in specialized}) == len(specialized)
+    for rows, p in specialized:
+        assert (last_pivots[id(rows)] % p).is_zero()
     assert [str(p) for p in report.locus] == ["t"]
     assert report.generic_betti == [0, 0, 3, 6, 3, 0, 0, 0]
     assert [(case.label(), case.betti) for case in report.special] == [("t = 0", [0, 0, 4, 9, 6, 1, 0, 0])]
@@ -788,6 +809,20 @@ def test_filiform6_g0p_weight_minus_three_answer_pinned(tmp_path, capsys):
     )
 
 
+def test_filiform6_g0p_weight_minus_four_answer_pinned(tmp_path, capsys):
+    """filiform-6 extended by g0' at w = -4, locus {t}: its residual pivots
+    are of higher degree than on aff(1)+aff(1), so the entries of the
+    integer residual grow.  Bareiss and exact substitution at t = 0 on the
+    whole matrices give the same ranks."""
+    path = tmp_path / "filiform6-g0prime.cfg"
+    path.write_text(FILIFORM6_G0P)
+    assert main(["betti", "--config", str(path), "--weight", "-4", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "314adbaae980af5d3a1025ea53e501350cd4cf83d8f3eeaf255925cb073cd038"
+    )
+
+
 def _reference_bracket(system, g1, g2):
     """Reference: [g1, g2] in chain generators over Q[t], a list of
     (generator, PolyT) read straight from the bracket table."""
@@ -831,18 +866,18 @@ def _dense_boundary(system, m, w):
 
 
 def _shipped_complexes():
-    """(system, weight, max_degree) of every shipped config at its weights,
-    of aff(1)+aff(1) + g0' at w = -4 and -5 and of filiform-6 + g0' at -3."""
+    """(system, weight) of every shipped config at its weights and of
+    aff(1)+aff(1) + g0' at w = -4 and -5."""
     root = Path(__file__).resolve().parent.parent
     for path in sorted((root / "configs").glob("*.cfg")):
         config = load_config(str(path))
         system = ChainComplexSystem(config.deformation, config.extension)
         for w in config.weights:
-            yield system, w, config.max_degree
+            yield system, w
     config = load_config(AFF_G0P)
     system = ChainComplexSystem(config.deformation, config.extension)
-    yield system, -4, None
-    yield system, -5, None
+    yield system, -4
+    yield system, -5
 
 
 @pytest.mark.filterwarnings("ignore:phi is not closed")
@@ -853,11 +888,11 @@ def test_sparse_assembly_matches_dense_reference(tmp_path):
     path = tmp_path / "filiform6-g0prime.cfg"
     path.write_text(FILIFORM6_G0P)
     config = load_config(str(path))
-    filiform = (ChainComplexSystem(config.deformation, config.extension), -3, None)
+    filiform = (ChainComplexSystem(config.deformation, config.extension), -3)
     checked = 0
     scales = set()
-    for system, w, max_degree in [*_shipped_complexes(), filiform]:
-        for M in homology.boundary_matrices(system, w, max_degree):
+    for system, w in [*_shipped_complexes(), filiform]:
+        for M in homology.boundary_matrices(system, w):
             dense = _dense_boundary(system, M.m, w)
             assert len(M.columns) == len(M.cols)
             assert all(_is_integer_tuple(e) for column in M.columns for e in column.values())
