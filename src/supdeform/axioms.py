@@ -5,8 +5,11 @@ Checkers work on a ``BracketSystem``: an ordered graded basis plus a bilinear
 bracket callable, evaluated once per pair of basis atoms (the keys of an
 element's ``terms``) into a memoized table.  "Pass" always means the defect
 is the exact zero element of Q[t] coefficients, never numerically small.
-Witnesses are reported in enumeration order, so the first (lexicographically
-lowest) failure wins.
+Each report is that of a scan over every ordered pair or triple: its witness
+is the lexicographically first failure, and ``checked`` counts the pairs or
+triples up to it.  The scans visit only sorted pairs, and sorted triples when
+the bracket is super-antisymmetric, because there the first failure is always
+sorted (see ``check_supersymmetry`` and ``check_superjacobi``).
 """
 
 from __future__ import annotations
@@ -185,48 +188,80 @@ def superjacobi_defect(system: BracketSystem, a: BasisItem, b: BasisItem, c: Bas
     return total
 
 
+def _antisymmetry_defect(xy: dict, yx: dict, odd: int) -> dict:
+    """The terms of [x, y] + (-1)^(x'y') [y, x], from the terms of [x, y]
+    and [y, x] and the parity of x'y'."""
+    defect = dict(xy)
+    for z, c in yx.items():
+        add_term(defect, z, -c if odd else c)
+    return defect
+
+
 def check_supersymmetry(system: BracketSystem) -> AxiomReport:
-    """[x, y] against -(-1)^(x'y') [y, x] for every ordered pair, read from the
-    bracket table; ``supersymmetry_defect`` is the direct reference."""
+    """[x, y] against -(-1)^(x'y') [y, x] for every pair, read from the
+    bracket table; ``supersymmetry_defect`` is the direct reference.
+
+    Only pairs i <= j are evaluated: the defect of (y, x) is (-1)^(x'y') times
+    the defect of (x, y), so the first failing ordered pair is sorted.  The
+    report is the ordered scan's: a pass counts n^2 pairs, and a failure at
+    (i, j) counts i*n + j + 1, with the same witness.
+    """
     items = system.items
+    n = len(items)
     atoms = [item.element.terms for item in items]
-    checked = 0
-    for (i, x), (j, y) in itertools.product(enumerate(items), repeat=2):
-        checked += 1
-        defect = system.image(atoms[i], atoms[j])
-        odd = (x.parity * y.parity) % 2
-        for z, c in system.image(atoms[j], atoms[i]).items():
-            add_term(defect, z, -c if odd else c)
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        xy, yx = system.image(atoms[i], atoms[j]), system.image(atoms[j], atoms[i])
+        defect = _antisymmetry_defect(xy, yx, (items[i].parity * items[j].parity) % 2)
         if defect:
-            witness = Witness((x.label, y.label), items[0].element.like(defect))
-            return AxiomReport(system.label, "supersymmetry", "fail", witness, checked)
-    return AxiomReport(system.label, "supersymmetry", "pass", None, checked)
+            witness = Witness((items[i].label, items[j].label), items[0].element.like(defect))
+            return AxiomReport(system.label, "supersymmetry", "fail", witness, i * n + j + 1)
+    return AxiomReport(system.label, "supersymmetry", "pass", None, n * n)
 
 
 def check_superjacobi(system: BracketSystem) -> AxiomReport:
-    """Graded cyclic sum of [[u, v], w] for every ordered triple, by sparse
-    contraction of the bracket table with itself; ``superjacobi_defect`` is
-    the direct reference."""
+    """Graded cyclic sum J(a, b, c) of [[u, v], w] over the triples of basis
+    items, by sparse contraction of the bracket table with itself;
+    ``superjacobi_defect`` is the direct reference.
+
+    When the bracket is super-antisymmetric on the items (checked exactly on
+    the table, as ``check_supersymmetry`` does), only sorted triples
+    a <= b <= c are evaluated, repeats included.  J is cyclic, and by
+    bilinearity and super-antisymmetry alone
+    J(b, a, c) = -(-1)^(a'b' + b'c' + c'a') J(a, b, c), so every permutation
+    of a triple gives +-J of its sorted form.  A failing triple's sorted
+    permutation therefore fails too and comes no later, so the first failing
+    ordered triple is sorted: the sorted scan meets it first, with the same
+    defect.  Otherwise every ordered triple is evaluated.  Either way the
+    report is the ordered scan's: a pass counts n^3 triples, and a failure at
+    (a, b, c) counts a*n^2 + b*n + c + 1.
+    """
     items = system.items
+    n = len(items)
     atoms = [item.element.terms for item in items]
-    inner: dict[tuple[int, int], dict] = {}
-    checked = 0
-    for a, b, c in itertools.product(range(len(items)), repeat=3):
-        checked += 1
+    parity = [item.parity for item in items]
+    inner = {(u, v): system.image(atoms[u], atoms[v]) for u, v in itertools.product(range(n), repeat=2)}
+    antisymmetric = not any(
+        _antisymmetry_defect(inner[(u, v)], inner[(v, u)], parity[u] * parity[v] % 2)
+        for u, v in itertools.combinations_with_replacement(range(n), 2)
+    )
+    if antisymmetric:
+        triples = itertools.combinations_with_replacement(range(n), 3)
+    else:
+        triples = itertools.product(range(n), repeat=3)
+    for a, b, c in triples:
         defect: dict = {}
         for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
-            uv = inner.get((u, v))
-            if uv is None:
-                uv = inner[(u, v)] = system.image(atoms[u], atoms[v])
+            uv = inner[(u, v)]
             if not uv:
                 continue
-            odd = (items[u].parity * items[w].parity) % 2
+            odd = parity[u] * parity[w] % 2
             for z, coeff in system.image(uv, atoms[w]).items():
                 add_term(defect, z, -coeff if odd else coeff)
         if defect:
             labels = (items[a].label, items[b].label, items[c].label)
-            return AxiomReport(system.label, "superjacobi", "fail", Witness(labels, items[0].element.like(defect)), checked)
-    return AxiomReport(system.label, "superjacobi", "pass", None, checked)
+            witness = Witness(labels, items[0].element.like(defect))
+            return AxiomReport(system.label, "superjacobi", "fail", witness, (a * n + b) * n + c + 1)
+    return AxiomReport(system.label, "superjacobi", "pass", None, n**3)
 
 
 def jacobi_closed_form(

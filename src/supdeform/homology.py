@@ -323,24 +323,28 @@ def _special_ranks(
     The candidates are the distinct irreducible factors of the last pivots.
     A last pivot is a nonzero maximal minor (Sylvester's identity), so it is
     nonzero at every root of a candidate that does not divide it: such a
-    matrix keeps its generic rank there and is not eliminated.
+    matrix keeps its generic rank there and is not eliminated.  A matrix is
+    converted to PolyT entries once, when a first candidate divides its last
+    pivot.
     """
     candidates = {factor for pivot in last_pivots if pivot.degree >= 1 for factor in irreducible_factors(pivot)}
+    converted: list[Optional[list[list[PolyT]]]] = [None] * len(matrices)
     special = []
     for cond in candidates:
-        ranks = [
-            _rank_at(rows, cond) if (pivot % cond).is_zero() else rank
-            for rows, rank, pivot in zip(matrices, generic, last_pivots)
-        ]
+        ranks = []
+        for i, (rows, rank, pivot) in enumerate(zip(matrices, generic, last_pivots)):
+            if (pivot % cond).is_zero():
+                if converted[i] is None:
+                    converted[i] = [[PolyT(e) for e in row] for row in rows]
+                rank = _rank_at(converted[i], cond)
+            ranks.append(rank)
         if ranks != generic:  # a rank can only fall; betti_piecewise checks that
             special.append((cond, ranks))
     return sorted(special, key=lambda case: _poly_sort_key(case[0]))
 
 
-def _rank_at(rows: list[list[tuple[int, ...]]], cond: PolyT) -> int:
-    """Exact rank, on the zero set of the monic condition cond, of the matrix
-    with these dense rows over Z[t]."""
-    entries = [[PolyT(e) for e in row] for row in rows]
+def _rank_at(entries: list[list[PolyT]], cond: PolyT) -> int:
+    """Exact rank of the matrix on the zero set of the monic condition cond."""
     if cond.degree == 1:
         return rank_at_rational(entries, -cond.coeffs[0])
     return rank_modulo(entries, cond)

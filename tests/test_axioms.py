@@ -1,13 +1,17 @@
 """Axiom checkers and the F-admissibility solvers, with independent oracles."""
 
 import itertools
+import math
 import random
 import warnings
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from supdeform.axioms import (
     BasisItem,
@@ -30,7 +34,7 @@ from supdeform.brackets import DeformationSpec, FSpec, solve_g0_doubleprime, sol
 from supdeform.config import load_config
 from supdeform.exterior import FORM, GradedElement, d, wedge
 from supdeform.liealg import LieAlgebraSpec, OneForm, VectorField, heisenberg3, solvable2
-from supdeform.scalars import T
+from supdeform.scalars import ONE, T, add_term
 
 
 ALG2 = solvable2()
@@ -284,6 +288,108 @@ def test_bracket_table_evaluates_each_atom_pair_once():
     assert check_supersymmetry(system).passed
     assert check_superjacobi(system).passed
     assert len(calls) == len(set(calls)) == len(system.table) <= len(system.items) ** 2
+
+
+# -- sorted scans against the ordered oracle ---------------------------------
+
+
+def _structure_system(superdegrees, constants):
+    """Basis z1..zn (form monomials standing for abstract basis vectors) with
+    the given superdegrees and the bilinear bracket [z(i+1), z(j+1)] =
+    sum_k constants[(i, j)][k] z(k+1)."""
+    n = len(superdegrees)
+    items = [BasisItem(f"z{i + 1}", GradedElement.monomial(FORM, n, (i + 1,)), s) for i, s in enumerate(superdegrees)]
+    proto = items[0].element
+
+    def bracket(x, y):
+        out = {}
+        for (i,), cx in x.terms.items():
+            for (j,), cy in y.terms.items():
+                for k, c in constants.get((i - 1, j - 1), {}).items():
+                    add_term(out, (k + 1,), cx * cy * c)
+        return proto.like(out)
+
+    return BracketSystem("structure constants", items, bracket)
+
+
+@st.composite
+def _brackets(draw, antisymmetric):
+    """Superdegrees and sparse structure constants on n <= 6 basis vectors;
+    super-antisymmetric, or with one image redrawn when not."""
+    n = draw(st.integers(1, 6))
+    superdegrees = draw(st.lists(st.integers(-3, 0), min_size=n, max_size=n))
+    coeff = st.sampled_from([ONE, -ONE, ONE + ONE, T])
+    nonzero = st.dictionaries(st.integers(0, n - 1), coeff, min_size=1, max_size=2)
+    image = st.one_of(st.just({}), st.just({}), nonzero)  # sparse, so that witnesses come late too
+    constants = {}
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        odd = superdegrees[i] * superdegrees[j] % 2
+        if i == j and not odd:
+            continue  # [x, x] = -[x, x] for x even
+        constants[(i, j)] = draw(image)
+        constants[(j, i)] = constants[(i, j)] if odd else {k: -c for k, c in constants[(i, j)].items()}
+    if not antisymmetric:
+        constants[draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))] = draw(image)
+    return superdegrees, constants
+
+
+@settings(max_examples=40, deadline=None)
+@given(_brackets(antisymmetric=True))
+def test_sorted_scans_match_ordered_oracle_on_random_super_antisymmetric_brackets(case):
+    system = _structure_system(*case)
+    direct = _direct_check(system, 3)
+    assume(direct[1] is not None)
+    assert _report_triple(check_superjacobi(system)) == direct
+    assert _report_triple(check_supersymmetry(system)) == _direct_check(system, 2) == (len(case[0]) ** 2, None, None)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_brackets(antisymmetric=False))
+def test_scans_match_ordered_oracle_on_random_brackets(case):
+    _assert_table_matches_direct(_structure_system(*case))
+
+
+def test_superjacobi_keeps_ordered_scan_without_supersymmetry():
+    """[z1, z1] = z2 breaks super-antisymmetry.  With [z3, z2] = z1 the first
+    failing ordered triple is (z1, z3, z2), while its sorted permutation
+    (z1, z2, z3) passes: only the ordered scan finds that witness."""
+    system = _structure_system([0, 0, 0], {(0, 0): {1: ONE}, (2, 1): {0: ONE}})
+    assert not check_supersymmetry(system).passed
+    assert _direct_check(system, 3) == (8, ("z1", "z3", "z2"), "z2")
+    _assert_table_matches_direct(system)
+
+
+def test_superjacobi_contracts_only_sorted_triples_on_a_passing_system():
+    """On filiform-5 the scan contracts the rotations of the C(n + 2, 3)
+    sorted triples, not of all n^3 ordered ones, and still reports n^3."""
+    config = load_config(str(ROOT / "bench" / "configs" / "filiform5-standard.cfg"))
+    base = form_system(config.deformation)
+    items = base.items
+    n = len(items)
+    system = BracketSystem(base.label, items, base.bracket)
+    calls = []
+
+    def image(u, v):
+        out = BracketSystem.image(system, u, v)
+        calls.append((u, v, out))  # holds every result, so the ids below stay unique
+        return out
+
+    system.image = image
+    report = check_superjacobi(system)
+    assert report.passed and report.checked == n**3 == 32768
+    # the first n^2 contractions fill [u, v] for every pair of items; each later
+    # one is [[u, v], w] for a rotation (u, v, w) of a scanned triple with [u, v] != 0
+    position = {id(item.element.terms): k for k, item in enumerate(items)}
+    pair = {id(out): (position[id(u)], position[id(v)]) for u, v, out in calls[: n * n]}
+    assert len(pair) == n * n
+    contracted = Counter(pair[id(uv)] + (position[id(w)],) for uv, w, _ in calls[n * n :])
+    sorted_triples = list(itertools.combinations_with_replacement(range(n), 3))
+    assert len(sorted_triples) == math.comb(n + 2, 3) == 5984
+    inner = {pair[id(out)]: out for _, _, out in calls[: n * n]}
+    expected = Counter(
+        (u, v, w) for a, b, c in sorted_triples for u, v, w in ((a, b, c), (b, c, a), (c, a, b)) if inner[(u, v)]
+    )
+    assert contracted == expected
 
 
 # -- F solution spaces -------------------------------------------------------

@@ -636,7 +636,7 @@ def test_betti_piecewise_eliminates_each_matrix_once(monkeypatch):
     calls = {"bareiss": 0, "det_poly": 0}
     built = []
     residuals = []
-    specialized = []  # (residual rows, condition) per rank at a condition
+    specialized = []  # (residual entries, condition) per rank at a condition
 
     def counting(name):
         original = getattr(homology, name)
@@ -660,9 +660,9 @@ def test_betti_piecewise_eliminates_each_matrix_once(monkeypatch):
 
     original_rank_at = homology._rank_at
 
-    def rank_at(rows, cond):
-        specialized.append((rows, cond))
-        return original_rank_at(rows, cond)
+    def rank_at(entries, cond):
+        specialized.append((entries, cond))
+        return original_rank_at(entries, cond)
 
     for name in calls:
         monkeypatch.setattr(homology, name, counting(name))
@@ -676,12 +676,16 @@ def test_betti_piecewise_eliminates_each_matrix_once(monkeypatch):
     # the locus factors each residual's last pivot; no minor is formed
     assert calls["det_poly"] == 0
     assert calls["bareiss"] == sum(1 for S in residuals if S) == 3
-    # a residual is specialized only where its last pivot vanishes, once each
-    last_pivots = {id(S): PolyT(bareiss(S)[1][-1]) for S in residuals if S}
+    # a residual is specialized only where its last pivot vanishes, once each,
+    # and converted to PolyT entries once, however many conditions it meets
+    converted = [([[PolyT(e) for e in row] for row in S], PolyT(bareiss(S)[1][-1])) for S in residuals if S]
     assert len(specialized) == 6
-    assert len({(id(rows), tuple(p.coeffs)) for rows, p in specialized}) == len(specialized)
-    for rows, p in specialized:
-        assert (last_pivots[id(rows)] % p).is_zero()
+    assert len({(id(entries), tuple(p.coeffs)) for entries, p in specialized}) == len(specialized)
+    matched = {}
+    for entries, p in specialized:
+        (k,) = [k for k, (poly, _) in enumerate(converted) if poly == entries]
+        assert matched.setdefault(k, id(entries)) == id(entries)
+        assert (converted[k][1] % p).is_zero()
     assert [str(p) for p in report.locus] == ["t"]
     assert report.generic_betti == [0, 0, 3, 6, 3, 0, 0, 0]
     assert [(case.label(), case.betti) for case in report.special] == [("t = 0", [0, 0, 4, 9, 6, 1, 0, 0])]
