@@ -13,6 +13,7 @@ degree commute (repeats allowed).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence
@@ -209,15 +210,30 @@ class ChainComplexSystem:
         """(den, terms): the boundary of one word (see ``boundary_word``) is
         sum terms[canon] / den * canon, each terms[canon] a nonzero integer
         coefficient tuple and den the lcm of the denominators of the
-        generator pairs met in the word."""
+        generator pairs met in the word.
+
+        Without Y_i and Y_j the word stays canonical, so each generator of
+        [Y_i, Y_j] is placed into that rest by bisection where the insertion
+        sort of ``normalize`` stops: after the equal generators left of Y_j's
+        place, before those right of it.  Each generator it passes flips the
+        sign unless both are odd, the odd ones counted from prefix sums of
+        the word's parities, and an even generator gives zero exactly when a
+        neighbour equals it.  ``normalize`` is the oracle the tests compare
+        these placements with."""
         parity = self.parity
+        memo = self._bracket_cache
         m = len(word)
+        odd = [0]  # odd[k]: the odd generators among word[:k]
+        for g in word:
+            odd.append(odd[-1] + parity[g])
         den = 1
         terms: dict[SuperWord, tuple] = {}
         for i in range(m):
-            par_i = parity[word[i]]
+            gi = word[i]
+            par_i = parity[gi]
             for j in range(i + 1, m):
-                d, values = self._bracket_numerators(word[i], word[j])
+                pair = memo.get((gi, word[j]))
+                d, values = pair if pair is not None else self._bracket_numerators(gi, word[j])
                 if not values:
                     continue
                 if den % d:  # a new denominator: bring the terms so far over the lcm
@@ -225,18 +241,26 @@ class ChainComplexSystem:
                     up = grown // den
                     terms = {canon: tuple(up * x for x in nums) for canon, nums in terms.items()}
                     den = grown
-                between = sum(parity[g] for g in word[i + 1 : j]) if par_i else 0
-                sgn = -1 if (i + between) % 2 else 1  # i-1 with 1-based i == i with 0-based
+                # (-1)^(i-1 + y_i * between) with 1-based i is (-1)^(i + ...) with 0-based i
+                sgn = i + (odd[j] - odd[i + 1] if par_i else 0)
                 factor = den // d
-                prefix = word[:i] + word[i + 1 : j]
-                suffix = word[j + 1 :]
+                rest = word[:i] + word[i + 1 : j] + word[j + 1 :]
+                left = j - 1  # rest[:left] stood before Y_j, rest[left:] after it
                 for gen, nums in values:
-                    norm = normalize(prefix + (gen,) + suffix, parity)
-                    if norm is None:
+                    k = bisect_right(rest, gen, 0, left)
+                    if k < left:  # gen passes rest[k:left] leftwards
+                        flips = left - k
+                        odd_passed = odd[j] - (odd[k] + par_i if k < i else odd[k + 1])
+                    else:  # gen passes rest[left:k] = word[j + 1 : k + 2] rightwards
+                        k = bisect_left(rest, gen, left)
+                        flips = k - left
+                        odd_passed = odd[k + 2] - odd[j + 1]
+                    if parity[gen]:
+                        flips -= odd_passed  # odd past odd commutes
+                    elif (k and rest[k - 1] == gen) or (k < m - 2 and rest[k] == gen):
                         continue
-                    s2, canon = norm
-                    f = factor if sgn * s2 > 0 else -factor
-                    _zadd_term(terms, canon, nums if f == 1 else tuple(f * x for x in nums))
+                    f = -factor if (sgn + flips) % 2 else factor
+                    _zadd_term(terms, rest[:k] + (gen,) + rest[k:], nums if f == 1 else tuple(f * x for x in nums))
         return den, terms
 
     def boundary(self, element: ChainElement) -> ChainElement:

@@ -21,6 +21,7 @@ import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
+from typing import Iterator
 
 from . import axioms as axioms_mod
 from . import homology
@@ -32,54 +33,115 @@ from .liealg import OneForm
 from .scalars import format_over
 
 
-def _emit(payload: dict, fmt: str, text_renderer):
-    print(_json_text(payload) if fmt == "json" else text_renderer())
+def _emit(payload: dict, fmt: str, text_pieces):
+    """Write the report to stdout in pieces, then a newline: the JSON form of
+    payload, or the str pieces that text_pieces() yields.  A JSON piece holds
+    at most one dict key, one list item or one boundary row, and the text of
+    ``chain`` yields one row or basis label at a time, so a ``chain`` dump is
+    rendered here from the sparse columns of its matrices and is never held
+    whole as text."""
+    write = sys.stdout.write
+    if fmt == "json":
+        _write_json(payload, "", write)
+    else:
+        for piece in text_pieces():
+            write(piece)
+    write("\n")
 
 
 def _json_text(value) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
-    dicts with str keys, lists, tuples and scalars.  With ``indent`` set,
-    ``json.dumps`` runs its pure-Python encoder on every entry; this writer
-    joins each list of str in one call."""
+    dicts with str keys, lists, tuples, scalars and ``_BoundaryRows`` (as
+    the lists of lists of str they stand for): the pieces of
+    ``_write_json`` joined in memory.  With ``indent`` set, ``json.dumps``
+    runs its pure-Python encoder on every entry; this writer encodes the
+    items of a list of str in one ``map``."""
     out: list[str] = []
-    _write_json(value, "", out)
+    _write_json(value, "", out.append)
     return "".join(out)
 
 
-def _write_json(value, indent: str, out: list[str]):
-    """Append the chunks of ``value`` rendered at this indent to out."""
+def _write_json(value, indent: str, write):
+    """Pass the pieces of ``value`` rendered at this indent to write."""
     if isinstance(value, dict):
         if not value:
-            out.append("{}")
+            write("{}")
             return
         inner = indent + "  "
         lead = "{\n"
         for key in sorted(value):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
-            out.append(lead + inner + encode_basestring_ascii(key) + ": ")
-            _write_json(value[key], inner, out)
+            write(lead + inner + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], inner, write)
             lead = ",\n"
-        out.append("\n" + indent + "}")
+        write("\n" + indent + "}")
+    elif isinstance(value, _BoundaryRows):
+        value.write_json(indent, write)
     elif isinstance(value, (list, tuple)):
         if not value:
-            out.append("[]")
+            write("[]")
             return
         inner = indent + "  "
         if set(map(type, value)) == {str}:
-            out.append("[\n" + inner + (",\n" + inner).join(map(encode_basestring_ascii, value)) + "\n" + indent + "]")
+            lead = "[\n" + inner
+            for item in map(encode_basestring_ascii, value):
+                write(lead + item)
+                lead = ",\n" + inner
+            write("\n" + indent + "]")
             return
         lead = "[\n"
         for item in value:
-            out.append(lead + inner)
-            _write_json(item, inner, out)
+            write(lead + inner)
+            _write_json(item, inner, write)
             lead = ",\n"
-        out.append("\n" + indent + "]")
+        write("\n" + indent + "]")
     elif isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
+        write(encode_basestring_ascii(value))
     else:
-        out.append(json.dumps(value))
+        write(json.dumps(value))
 
+
+class _BoundaryRows:
+    """The rows of a boundary matrix as a report holds them, lists of entry
+    strings, rendered one row at a time from the matrix's sparse columns.
+    Only the nonzero entries are formatted, each from its numerators over
+    the matrix's scale; every zero cell is one constant string, placed by
+    copying a row of them."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: homology.BoundaryMatrix):
+        self.matrix = matrix
+
+    def joined(self, zero: str, cell, sep: str) -> Iterator[str]:
+        """Each row's cells joined by sep: a zero entry is zero, a nonzero
+        one cell(its text)."""
+        M = self.matrix
+        by_row: list[list[tuple[int, str]]] = [[] for _ in M.rows]
+        for c, column in enumerate(M.columns):
+            for r, e in column.items():
+                by_row[r].append((c, cell(format_over(e, M.scale))))
+        blank = [zero] * len(M.cols)
+        for entries in by_row:
+            cells = blank.copy()
+            for c, text in entries:
+                cells[c] = text
+            yield sep.join(cells)
+
+    def write_json(self, indent: str, write):
+        """The rows as ``_write_json`` renders a list of lists of str."""
+        if not self.matrix.rows:
+            write("[]")
+            return
+        inner = indent + "  "
+        cell_indent = inner + "  "
+        head, tail = "[\n" + cell_indent, "\n" + inner + "]"
+        lead = "[\n" + inner
+        for row in self.joined('"0"', encode_basestring_ascii, ",\n" + cell_indent):
+            write(lead + (head + row + tail if self.matrix.cols else "[]"))
+            lead = ",\n" + inner
+        write("\n" + indent + "]")
 
 def _resolved_format(config: RunConfig, args) -> str:
     return args.format if args.format else config.output_format
@@ -117,7 +179,7 @@ def cmd_validate(config: RunConfig, args) -> int:
         ]
         return "\n".join(lines)
 
-    _emit(payload, _resolved_format(config, args), text)
+    _emit(payload, _resolved_format(config, args), lambda: [text()])
     return 0
 
 
@@ -135,50 +197,45 @@ def cmd_axioms(config: RunConfig, args) -> int:
         reports.append(axioms_mod.check_supersymmetry(system))
         reports.append(axioms_mod.check_superjacobi(system))
     payload = {"command": "axioms", "reports": [r.to_json() for r in reports]}
-    _emit(payload, _resolved_format(config, args), lambda: "\n".join(str(r) for r in reports))
+    _emit(payload, _resolved_format(config, args), lambda: ["\n".join(str(r) for r in reports)])
     return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_chain(config: RunConfig, args) -> int:
     system = ChainComplexSystem(config.deformation, config.extension)
+    # every matrix of every weight is built before the first write, so that a
+    # failed consistency check leaves stdout empty
     blocks = []
     for w in _weights(config, args):
         per_degree = [
-            {"m": M.m, "basis": [system.word_label(word) for word in M.cols], "boundary": _boundary_rows(M)}
+            {"m": M.m, "basis": [system.word_label(word) for word in M.cols], "boundary": _BoundaryRows(M)}
             for M in homology.boundary_matrices(system, w)
         ]
         blocks.append({"weight": w, "chain": per_degree})
     payload = {"command": "chain", "weights": blocks}
 
     def text():
-        lines = []
+        lead = ""
         for block in blocks:
-            lines.append(f"weight {block['weight']}")
+            yield f"{lead}weight {block['weight']}"
+            lead = "\n"
             for entry in block["chain"]:
-                lines.append(f"  C_{entry['m']}: dim {len(entry['basis'])}  basis {', '.join(entry['basis']) or '(none)'}")
-                for row in entry["boundary"]:
-                    lines.append("    [" + ", ".join(row) + "]")
-        return "\n".join(lines)
+                basis = entry["basis"]
+                yield f"\n  C_{entry['m']}: dim {len(basis)}  basis " + (basis[0] if basis else "(none)")
+                for k in range(1, len(basis)):
+                    yield ", " + basis[k]
+                for row in entry["boundary"].joined("0", str, ", "):
+                    yield "\n    [" + row + "]"
 
     _emit(payload, _resolved_format(config, args), text)
     return 0
-
-
-def _boundary_rows(M: homology.BoundaryMatrix) -> list[list[str]]:
-    """The matrix as rows of entry strings; only the nonzero entries are
-    formatted, each from its numerators over the matrix's scale."""
-    rows = [["0"] * len(M.cols) for _ in M.rows]
-    for c, column in enumerate(M.columns):
-        for r, e in column.items():
-            rows[r][c] = format_over(e, M.scale)
-    return rows
 
 
 def cmd_betti(config: RunConfig, args) -> int:
     system = ChainComplexSystem(config.deformation, config.extension)
     reports = [homology.betti_piecewise(system, w) for w in _weights(config, args)]
     payload = {"command": "betti", "reports": [r.to_json() for r in reports]}
-    _emit(payload, _resolved_format(config, args), lambda: "\n\n".join(r.to_text() for r in reports))
+    _emit(payload, _resolved_format(config, args), lambda: ["\n\n".join(r.to_text() for r in reports)])
     return 0
 
 
@@ -197,7 +254,7 @@ def cmd_ffamily(args) -> int:
             lines.append(f"basis[{idx}]: {entries}")
         return "\n".join(lines)
 
-    _emit(payload, args.format or "text", text)
+    _emit(payload, args.format or "text", lambda: [text()])
     return 0
 
 
@@ -236,7 +293,7 @@ def cmd_schouten(config: RunConfig, args) -> int:
         lines.extend(str(r) for r in reports)
         return "\n".join(lines)
 
-    _emit(payload, _resolved_format(config, args), text)
+    _emit(payload, _resolved_format(config, args), lambda: [text()])
     ok = all(r.passed for r in reports) and degree_one_ok and zero_phi_ok
     return 0 if ok else 1
 

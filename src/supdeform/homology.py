@@ -356,8 +356,7 @@ def _poly_sort_key(p: PolyT):
 
 def boundary_matrices(system: ChainComplexSystem, w: int) -> Iterator[BoundaryMatrix]:
     """d_1 .. d_bound of the weight-w complex, bound its longest word, built
-    one at a time as they are consumed (``chain`` renders each one and lets
-    it go)."""
+    one at a time as they are consumed."""
     return (boundary_matrix(system, m, w) for m in range(1, system.max_length(w) + 1))
 
 

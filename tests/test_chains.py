@@ -5,12 +5,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from supdeform.brackets import DeformationSpec, SuperElement, extension_bracket
 from supdeform.chains import ChainComplexSystem, ChainElement, normalize
 from supdeform.config import load_config
 from supdeform.liealg import OneForm, VectorField, heisenberg3, solvable2
-from supdeform.scalars import ZERO, poly
+from supdeform.scalars import ZERO, _zadd_term, poly
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -89,6 +91,56 @@ def _super_sign(src, dst, parity):
             work[pos - 1], work[pos] = b, a
             pos -= 1
     return sign
+
+
+class _OnePairSystem(ChainComplexSystem):
+    """Generators 0 .. len(parity) - 1 of the given parities, and a bracket
+    that is zero except [a, b] = gen with coefficient 1."""
+
+    def __init__(self, parity, a, b, gen):
+        self.parity = list(parity)
+        self._bracket_cache = {(a, b): (1, ((gen, (1,)),))}
+
+    def _bracket_numerators(self, g1, g2):
+        return self._bracket_cache.get((g1, g2), (1, ()))
+
+
+@st.composite
+def _words_and_pairs(draw):
+    """Random parities, a canonical word over them (each even generator at
+    most once, an odd one up to three times in a run) and a pair i < j of
+    its positions."""
+    n = draw(st.integers(1, 6))
+    parity = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    word = ()
+    for g in range(n):
+        word += (g,) * draw(st.integers(0, 3 if parity[g] else 1))
+    assume(len(word) >= 2)
+    i = draw(st.integers(0, len(word) - 2))
+    j = draw(st.integers(i + 1, len(word) - 1))
+    return parity, word, i, j
+
+
+@settings(max_examples=400, deadline=None)
+@given(_words_and_pairs())
+def test_boundary_insertion_matches_normalize(case):
+    """``_boundary_terms`` places each bracket generator into the canonical
+    rest of the word by bisection; ``normalize`` of the raw sequence must
+    give the same (sign, word), or None for a repeated even generator.
+    Every generator is tried as [Y_i, Y_j], so it lands at every place of
+    the rest, on either end, and next to an equal neighbour or odd run."""
+    parity, word, i, j = case
+    a, b = word[i], word[j]
+    # an odd generator can repeat, so the pair may stand at several places
+    places = [(p, q) for p in range(len(word)) for q in range(p + 1, len(word)) if (word[p], word[q]) == (a, b)]
+    for gen in range(len(parity)):
+        expected = {}
+        for p, q in places:
+            norm = normalize(word[:p] + word[p + 1 : q] + (gen,) + word[q + 1 :], parity)
+            if norm is not None:
+                between = sum(parity[g] for g in word[p + 1 : q]) if parity[a] else 0
+                _zadd_term(expected, norm[1], (norm[0] * (-1) ** (p + between),))
+        assert _OnePairSystem(parity, a, b, gen)._boundary_terms(word) == (1, expected)
 
 
 class TestEnumerateBasis:

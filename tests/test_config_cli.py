@@ -1,6 +1,7 @@
 """Configuration parsing and the command line interface."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -14,12 +15,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from supdeform import homology
 from supdeform.brackets import DeformationKind
+from supdeform.chains import ChainComplexSystem
 from supdeform.cli import main
 from supdeform.config import ConfigError, load_config
+from supdeform.scalars import format_over
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
+AFF_G0P = str(ROOT / "bench" / "configs" / "aff1-aff1-g0prime.cfg")
 
 STANDARD_CFG = """
 [algebra]
@@ -194,17 +199,22 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["chain", "betti"])
     def test_internal_failure_exits_one_without_traceback(self, monkeypatch, capsys, command):
-        from supdeform import homology
+        """A failed assembly exits 1 with stdout empty, also when it fails
+        only at the second weight, after the first weight's matrices."""
+        original = homology.boundary_matrix
 
-        def broken(*_args):
-            raise RuntimeError("boundary image left the expected weight space")
+        def broken(system, m, w):
+            if w in failing:
+                raise RuntimeError("boundary image left the expected weight space")
+            return original(system, m, w)
 
         monkeypatch.setattr(homology, "boundary_matrix", broken)
-        # an escaping exception would fail this call instead of returning 1
-        assert main([command, "--config", self._cfg("dim2-standard.cfg")]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "internal consistency failure: boundary image left the expected weight space\n"
+        for failing, weights in [({-3}, []), ({-3}, ["--weight", "-2", "--weight", "-3"])]:
+            # an escaping exception would fail this call instead of returning 1
+            assert main([command, "--config", self._cfg("dim2-standard.cfg"), *weights]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "internal consistency failure: boundary image left the expected weight space\n"
 
     def test_betti_json_round_trip_byte_identical(self, capsys):
         assert main(["betti", "--config", self._cfg("dim2-extended.cfg"), "--format", "json"]) == 0
@@ -409,12 +419,54 @@ def test_json_writer_rejects_non_str_keys():
         _json_text({1: "a"})
 
 
+def _boundary_rows(M: homology.BoundaryMatrix) -> list[list[str]]:
+    """Reference: the matrix as rows of entry strings, each nonzero entry
+    formatted from its numerators over the matrix's scale."""
+    rows = [["0"] * len(M.cols) for _ in M.rows]
+    for c, column in enumerate(M.columns):
+        for r, e in column.items():
+            rows[r][c] = format_over(e, M.scale)
+    return rows
+
+
+def _reference_chain_payload(path: str, weights=None) -> dict:
+    """Reference: the ``chain`` report at the weights (by default the
+    config's) with every boundary row built as a list of str."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        config = load_config(path)
+    system = ChainComplexSystem(config.deformation, config.extension)
+    blocks = []
+    for w in weights or config.weights:
+        per_degree = [
+            {"m": M.m, "basis": [system.word_label(word) for word in M.cols], "boundary": _boundary_rows(M)}
+            for M in homology.boundary_matrices(system, w)
+        ]
+        blocks.append({"weight": w, "chain": per_degree})
+    return {"command": "chain", "weights": blocks}
+
+
+def _reference_chain_text(payload: dict) -> str:
+    """Reference: the text form of a ``chain`` report, as one string."""
+    lines = []
+    for block in payload["weights"]:
+        lines.append(f"weight {block['weight']}")
+        for entry in block["chain"]:
+            lines.append(f"  C_{entry['m']}: dim {len(entry['basis'])}  basis {', '.join(entry['basis']) or '(none)'}")
+            for row in entry["boundary"]:
+                lines.append("    [" + ", ".join(row) + "]")
+    return "\n".join(lines) + "\n"
+
+
 SHIPPED_CONFIGS = sorted(CONFIG_DIR.glob("*.cfg")) + sorted((ROOT / "bench" / "configs").glob("*.cfg"))
 
 
 def test_every_json_report_is_json_dumps_of_its_payload(monkeypatch):
     """Every command on every shipped config prints, in JSON, exactly what
-    ``json.dumps(payload, indent=2, sort_keys=True)`` gives."""
+    ``json.dumps(payload, indent=2, sort_keys=True)`` gives.  A ``chain``
+    payload renders its boundary rows as it writes them, so its output is
+    compared with a reference payload that holds every row as a list of
+    str, in JSON and in text."""
     from supdeform import cli
 
     payloads = []
@@ -440,6 +492,47 @@ def test_every_json_report_is_json_dumps_of_its_payload(monkeypatch):
             assert (code, out) == (1, ""), argv
             continue
         assert code in (0, 1) and len(payloads) == 1, argv
-        assert out == json.dumps(payloads[0], indent=2, sort_keys=True) + "\n", argv
+        expected = payloads[0]
+        if argv[0] == "chain":
+            expected = _reference_chain_payload(argv[2], [int(argv[-1])] if "--weight" in argv else None)
+            assert cli._json_text(payloads[0]) == json.dumps(expected, indent=2, sort_keys=True), argv
+            assert _run_in_process([*argv, "--format", "text"]) == (0, _reference_chain_text(expected)), argv
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n", argv
         reported += 1
     assert reported == len(calls) - 1  # betti on heisenberg-nonclosed
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("json", "8620a9601e3b471b10a078f744c5789eba3d6e10c76718bec36c549ed1ec9d25"),
+        ("text", "819ccf892fa980729feac6de1fb83af7d1cb8b906cce2d2ee0297a4499e0f2ee"),
+    ],
+    ids=["json", "text"],
+)
+def test_chain_g0p_weight_minus_five_dump_pinned_and_streamed(monkeypatch, fmt, digest):
+    """The w = -5 chain dump on aff(1)+aff(1) extended by g0' keeps its
+    bytes, and reaches stdout in pieces: no single write is longer than the
+    longest rendered boundary row plus its lead."""
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+            return len(text)
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(["chain", "--config", AFF_G0P, "--weight", "-5", "--format", fmt]) == 0
+    monkeypatch.undo()
+    assert hashlib.sha256("".join(writes).encode()).hexdigest() == digest
+    payload = _reference_chain_payload(AFF_G0P, [-5])
+    rows = [row for entry in payload["weights"][0]["chain"] for row in entry["boundary"]]
+    if fmt == "json":  # a row is a list at indent 12 after the lead ",\n" + 12 spaces
+        longest = max(len(json.dumps(row, indent=2).replace("\n", "\n" + " " * 12)) for row in rows) + 14
+    else:  # a row is a line after the lead "\n"
+        longest = max(len("    [" + ", ".join(row) + "]") for row in rows) + 1
+    assert len(rows) == 735 and len(writes) > len(rows)
+    assert max(map(len, writes)) <= longest
