@@ -1,9 +1,9 @@
 """Verification of the super bracket axioms, and the linear systems that pin
 down admissible deformation functions F.
 
-Checkers work on a ``BracketSystem``: an ordered graded basis plus a bilinear
-bracket callable, evaluated once per pair of basis atoms (the keys of an
-element's ``terms``) into a memoized table.  "Pass" always means the defect
+Checkers work on a ``BracketSystem``: an ordered graded basis plus the
+bracket of two basis atoms (the keys of an element's ``terms``), evaluated
+once per pair into a memoized table.  "Pass" always means the defect
 is the exact zero element of Q[t] coefficients, never numerically small.
 Each report is that of a scan over every ordered pair or triple: its witness
 is the lexicographically first failure, and ``checked`` counts the pairs or
@@ -17,13 +17,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional
 
 from . import qlinalg
-from .brackets import DeformationSpec, SuperElement, deformed_schouten, extension_bracket, form_bracket
+from .brackets import (
+    DeformationSpec,
+    SuperElement,
+    deformed_schouten,
+    extension_atom_bracket,
+    form_monomial_bracket,
+)
 from .exterior import FORM, MULTIVECTOR, GradedElement, d, monomial_label
 from .liealg import LieAlgebraSpec, OneForm
-from .scalars import ONE, add_term, rat
+from .scalars import ONE, add_term, bilinear, rat
 
 
 @dataclass(frozen=True)
@@ -41,42 +48,39 @@ class BasisItem:
 class BracketSystem:
     """An ordered homogeneous basis together with the bracket to test.
 
-    The bracket must be Q[t]-bilinear, which holds for every bracket built
-    here because F depends only on degrees.  Elements are then handled
-    through their ``terms``, sparse maps from atoms to Q[t] coefficients, and
-    the bracket of two atoms is computed once, on first use, into a table
-    that lives as long as the system.  An atom is a key of ``terms``: an index
-    tuple (a monomial of a ``GradedElement`` or a form monomial of a
+    Elements are handled through their ``terms``, sparse maps from atoms to
+    Q[t] coefficients.  An atom is a key of ``terms``: an index tuple (a
+    monomial of a ``GradedElement`` or a form monomial of a
     ``SuperElement``) or a 1-based int (the coordinate vector y_i of a
-    ``SuperElement``); ``proto.like({atom: ONE})`` is the atom as an element
-    of the items' type.
+    ``SuperElement``).  ``atom_bracket(x, y)`` gives the terms of the bracket
+    of two atoms, and the bracket of two elements is its bilinear sum: every
+    bracket built here is Q[t]-bilinear, because F depends only on degrees.
+    The checkers read each atom pair from a table filled on first use, which
+    lives as long as the system.
     """
 
     label: str
     items: list[BasisItem]
-    bracket: Callable
+    atom_bracket: Callable
     table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def triples(self):
         return itertools.product(self.items, repeat=3)
 
-    def atom_bracket(self, x, y) -> dict:
-        """[x, y] for two atoms, from the table (read-only)."""
+    def bracket(self, u, v):
+        """[u, v] for two elements, from ``atom_bracket`` without the table:
+        the bracket the direct references compose."""
+        return u.like(bilinear(u.terms, v.terms, self.atom_bracket))
+
+    def _tabled(self, x, y) -> dict:
         image = self.table.get((x, y))
         if image is None:
-            proto = self.items[0].element
-            image = self.table[(x, y)] = self.bracket(proto.like({x: ONE}), proto.like({y: ONE})).terms
+            image = self.table[(x, y)] = self.atom_bracket(x, y)
         return image
 
     def image(self, u: dict, v: dict) -> dict:
         """[u, v] for two sparse elements, by bilinearity over the table."""
-        out: dict = {}
-        for x, cx in u.items():
-            for y, cy in v.items():
-                c = cx * cy
-                for z, cz in self.atom_bracket(x, y).items():
-                    add_term(out, z, c * cz)
-        return out
+        return bilinear(u, v, self._tabled)
 
 
 def _form_monomials(n: int) -> list[tuple[int, ...]]:
@@ -93,11 +97,7 @@ def form_system(spec: DeformationSpec) -> BracketSystem:
         BasisItem(monomial_label(FORM, ids), GradedElement.monomial(FORM, n, ids), -len(ids) - 1)
         for ids in _form_monomials(n)
     ]
-    return BracketSystem(
-        f"forms[{spec.describe()}]",
-        items,
-        lambda x, y: form_bracket(spec, x, y),
-    )
+    return BracketSystem(f"forms[{spec.describe()}]", items, partial(form_monomial_bracket, spec))
 
 
 def multivector_system(spec: LieAlgebraSpec, phi: OneForm) -> BracketSystem:
@@ -107,11 +107,12 @@ def multivector_system(spec: LieAlgebraSpec, phi: OneForm) -> BracketSystem:
         BasisItem(monomial_label(MULTIVECTOR, ids), GradedElement.monomial(MULTIVECTOR, n, ids), len(ids) - 1)
         for ids in _form_monomials(n)[1:]
     ]
-    return BracketSystem(
-        "multivectors[deformed Schouten]",
-        items,
-        lambda x, y: deformed_schouten(spec, x, y, phi),
-    )
+
+    def atom_bracket(x, y):
+        P, Q = (GradedElement.monomial(MULTIVECTOR, n, ids) for ids in (x, y))
+        return deformed_schouten(spec, P, Q, phi).terms
+
+    return BracketSystem("multivectors[deformed Schouten]", items, atom_bracket)
 
 
 def extension_system(spec: DeformationSpec, vectors) -> BracketSystem:
@@ -126,11 +127,7 @@ def extension_system(spec: DeformationSpec, vectors) -> BracketSystem:
         items.append(BasisItem(label, SuperElement.from_vector(v), 0))
     for ids in _form_monomials(n):
         items.append(BasisItem(monomial_label(FORM, ids), SuperElement(n, {ids: ONE}), -len(ids) - 1))
-    return BracketSystem(
-        f"extension[{spec.describe()}]",
-        items,
-        lambda x, y: extension_bracket(spec, x, y),
-    )
+    return BracketSystem(f"extension[{spec.describe()}]", items, partial(extension_atom_bracket, spec))
 
 
 @dataclass

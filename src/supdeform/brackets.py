@@ -14,23 +14,26 @@ extension of the form brackets by vectors acting through the Lie derivative.
 from __future__ import annotations
 
 import enum
+import itertools
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import qlinalg
 from .exterior import (
     FORM,
     GradedElement,
+    _merge_tuples,
     contract,
     d,
     is_closed,
-    lie_derivative,
     monomial_key,
     schouten,
 )
 from .liealg import LieAlgebraSpec, OneForm, VectorField
-from .scalars import T, Terms, _as_poly, add_term, rat
+from .scalars import PolyT, T, Terms, _as_poly, add_term, bilinear, rat
 
 
 class DeformationKind(enum.Enum):
@@ -116,6 +119,17 @@ class DeformationSpec:
     def __post_init__(self):
         object.__setattr__(self, "tphi", GradedElement.from_one_form(self.phi).scale(T))
 
+    @cached_property
+    def d_monomials(self) -> dict[tuple[int, ...], dict]:
+        """The terms of d(z_I) for each of the 2^n form monomials z_I,
+        computed once per spec."""
+        n = self.algebra.n
+        return {
+            ids: d(self.algebra, GradedElement.monomial(FORM, n, ids)).terms
+            for deg in range(n + 1)
+            for ids in itertools.combinations(range(1, n + 1), deg)
+        }
+
     @classmethod
     def standard(cls, algebra: LieAlgebraSpec, phi: OneForm, warn: bool = True) -> "DeformationSpec":
         closed = is_closed(algebra, phi)
@@ -153,21 +167,52 @@ def _require_homogeneous(alpha: GradedElement, what: str) -> int:
     return alpha.degree()
 
 
-def form_bracket(spec: DeformationSpec, alpha: GradedElement, beta: GradedElement) -> GradedElement:
-    """The configured deformed bracket of two homogeneous forms."""
-    a = _require_homogeneous(alpha, "form_bracket")
-    b = _require_homogeneous(beta, "form_bracket")
-    n = spec.algebra.n
-    result = GradedElement.zero(FORM, n)
+def form_monomial_bracket(spec: DeformationSpec, I: tuple[int, ...], J: tuple[int, ...]) -> dict:
+    """The terms of the configured deformed bracket [z_I, z_J] of two form
+    monomials, of degrees a and b.
+
+    With z_I ^ z_J = s z_U it is (-1)^a s d(z_U), read from the spec's
+    d-images (standard and naive d_t kinds only), plus
+    F(a, b) t sum_k phi_k z_I ^ z_k ^ z_J, where
+    z_I ^ z_k ^ z_J = (-1)^b s z_U ^ z_k.
+    """
+    a, b = len(I), len(J)
+    # beyond a+b+1 > n the wedge vanishes and F need not be defined
+    coeff = spec.F.value(a, b) if a + b + 1 <= spec.algebra.n and not spec.phi.is_zero() else 0
+    merged = _merge_tuples(I, J)
+    if merged is None:
+        return {}
+    sign, U = merged
+    out: dict = {}
     if spec.kind in (DeformationKind.STANDARD, DeformationKind.NAIVE_DT):
-        base = d(spec.algebra, alpha.wedge(beta))
-        result = result + (base if a % 2 == 0 else -base)
-    if a + b + 1 <= n and not spec.phi.is_zero():
-        # beyond a+b+1 > n the wedge vanishes and F need not be defined
-        coeff = spec.F.value(a, b)
-        if coeff:
-            result = result + alpha.wedge(spec.tphi).wedge(beta).scale(coeff)
-    return result
+        negate = (sign < 0) != (a % 2 == 1)
+        for ids, c in spec.d_monomials[U].items():
+            out[ids] = -c if negate else c
+    if coeff:
+        negate = (sign < 0) != (b % 2 == 1)
+        zero = Fraction(0)
+        for k, phi_k in enumerate(spec.phi.coeffs, 1):
+            if not phi_k:
+                continue
+            pos = bisect_left(U, k)
+            if pos < len(U) and U[pos] == k:
+                continue
+            # z_k passes the len(U) - pos factors of z_U after it
+            value = coeff * phi_k
+            if negate != ((len(U) - pos) % 2 == 1):
+                value = -value
+            add_term(out, U[:pos] + (k,) + U[pos:], PolyT._wrap((zero, value)))
+    return out
+
+
+def form_bracket(spec: DeformationSpec, alpha: GradedElement, beta: GradedElement) -> GradedElement:
+    """The configured deformed bracket of two homogeneous forms, the bilinear
+    sum of ``form_monomial_bracket``."""
+    proto = GradedElement.zero(FORM, spec.algebra.n)
+    for x in (alpha, beta):
+        proto._require_like(x)
+        _require_homogeneous(x, "form_bracket")
+    return proto.like(bilinear(alpha.terms, beta.terms, lambda I, J: form_monomial_bracket(spec, I, J)))
 
 
 def deformed_schouten(
@@ -244,27 +289,38 @@ class SuperElement(Terms):
     __repr__ = __str__
 
 
-def extension_bracket(spec: DeformationSpec, u: SuperElement, v: SuperElement) -> SuperElement:
-    """Bracket on h (+) g0, bilinear over pairs of atoms: Lie on vectors,
+def _lie_derivative_monomial(spec: DeformationSpec, i: int, J: tuple[int, ...]) -> dict:
+    """The terms of L_{y_i} z_J = iota_{y_i} d(z_J) + d(iota_{y_i} z_J), from
+    the spec's d-images."""
+    d_images = spec.d_monomials
+    out: dict = {}
+    for ids, c in d_images[J].items():
+        if i in ids:
+            s = ids.index(i)
+            out[ids[:s] + ids[s + 1 :]] = -c if s % 2 else c
+    if i in J:
+        s = J.index(i)
+        for ids, c in d_images[J[:s] + J[s + 1 :]].items():
+            add_term(out, ids, -c if s % 2 else c)
+    return out
+
+
+def extension_atom_bracket(spec: DeformationSpec, x, y) -> dict:
+    """The terms of [x, y] for two atoms of h (+) g0: Lie on vectors,
     [X, beta] = L_X beta = -[beta, X] mixed, and the deformed bracket on form
     monomials, so F sees their true degrees."""
-    algebra = spec.algebra
-    n = algebra.n
-    out: dict = {}
-    for x, cx in u.terms.items():
-        for y, cy in v.terms.items():
-            if isinstance(x, int) and isinstance(y, int):
-                image = algebra.bracket_basis(x, y)
-            elif isinstance(x, int):
-                image = lie_derivative(algebra, VectorField.basis(n, x), GradedElement.monomial(FORM, n, y)).terms
-            elif isinstance(y, int):
-                image = (-lie_derivative(algebra, VectorField.basis(n, y), GradedElement.monomial(FORM, n, x))).terms
-            else:
-                image = form_bracket(spec, GradedElement.monomial(FORM, n, x), GradedElement.monomial(FORM, n, y)).terms
-            c = cx * cy
-            for z, cz in image.items():
-                add_term(out, z, c * cz)
-    return SuperElement(n, out)
+    if isinstance(x, int):
+        if isinstance(y, int):
+            return {k: PolyT.const(c) for k, c in spec.algebra.bracket_basis(x, y).items()}
+        return _lie_derivative_monomial(spec, x, y)
+    if isinstance(y, int):
+        return {ids: -c for ids, c in _lie_derivative_monomial(spec, y, x).items()}
+    return form_monomial_bracket(spec, x, y)
+
+
+def extension_bracket(spec: DeformationSpec, u: SuperElement, v: SuperElement) -> SuperElement:
+    """Bracket on h (+) g0, the bilinear sum of ``extension_atom_bracket``."""
+    return SuperElement(spec.algebra.n, bilinear(u.terms, v.terms, lambda x, y: extension_atom_bracket(spec, x, y)))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supdeform.brackets import (
     DeformationKind,
@@ -25,13 +27,14 @@ from supdeform.exterior import (
     GradedElement,
     contract,
     d,
+    is_closed,
     lie_derivative,
     schouten,
     wedge,
 )
 from supdeform.chains import ChainElement
 from supdeform.config import load_config
-from supdeform.liealg import OneForm, VectorField, abelian, heisenberg3, solvable2
+from supdeform.liealg import LieAlgebraSpec, OneForm, VectorField, abelian, heisenberg3, solvable2
 from supdeform.scalars import PolyT, T, poly
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -139,6 +142,107 @@ class TestStandardDeformed:
         mixed = ONE_FORM + mono(FORM, 2, 1)
         with pytest.raises(ValueError):
             form_bracket(spec, mixed, ONE_FORM)
+
+
+# -- the monomial kernel of form_bracket against d and wedge -----------------
+
+
+def _reference_form_bracket(spec, alpha, beta):
+    """(-1)^a d(alpha ^ beta) + F(a, b) alpha ^ t phi ^ beta, composed from
+    ``d`` and ``wedge`` (the first term for the standard and naive d_t kinds)."""
+    a, b = alpha.degree(), beta.degree()
+    n = spec.algebra.n
+    result = GradedElement.zero(FORM, n)
+    if spec.kind in (DeformationKind.STANDARD, DeformationKind.NAIVE_DT):
+        base = d(spec.algebra, alpha.wedge(beta))
+        result = result + (base if a % 2 == 0 else -base)
+    if a + b + 1 <= n and not spec.phi.is_zero():
+        # beyond a+b+1 > n the wedge vanishes and F need not be defined
+        coeff = spec.F.value(a, b)
+        if coeff:
+            result = result + alpha.wedge(spec.tphi).wedge(beta).scale(coeff)
+    return result
+
+
+def _filiform(n):
+    """L_n: [y1, yi] = y(i+1) for i = 2..n-1."""
+    return LieAlgebraSpec(n, {(1, i, i + 1): 1 for i in range(2, n)})
+
+
+def _heisenberg(k):
+    """H_(2k+1): [yi, y(k+i)] = y(2k+1)."""
+    return LieAlgebraSpec(2 * k + 1, {(i, k + i, 2 * k + 1): 1 for i in range(1, k + 1)})
+
+
+def _direct_sum(g, h):
+    structure = {(i, j, k): c for (i, j), row in g.structure.items() for k, c in row.items()}
+    for (i, j), row in h.structure.items():
+        for k, c in row.items():
+            structure[(g.n + i, g.n + j, g.n + k)] = c
+    return LieAlgebraSpec(g.n + h.n, structure)
+
+
+KERNEL_ALGEBRAS = [
+    _filiform(3),
+    _filiform(4),
+    _filiform(5),
+    _heisenberg(1),
+    _heisenberg(2),
+    _direct_sum(solvable2(), solvable2()),
+    _direct_sum(solvable2(), _heisenberg(1)),
+]
+SMALL_RATIONALS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 2), Fraction(2)])
+
+
+@st.composite
+def _deformations(draw):
+    """Any kind with any F: kappa, constant, a full table, or a table with no
+    entry for a + b + 1 > n; phi closed (on the closed basis forms) or not."""
+    algebra = draw(st.sampled_from(KERNEL_ALGEBRAS))
+    n = algebra.n
+    variant = draw(st.sampled_from(["kappa", "constant", "table", "table without a + b + 1 > n"]))
+    if variant == "kappa":
+        F = FSpec.kappa_family(draw(SMALL_RATIONALS))
+    elif variant == "constant":
+        F = FSpec.const(draw(SMALL_RATIONALS))
+    else:
+        bound = 2 * n if variant == "table" else n - 1
+        F = FSpec.from_table({(a, b): draw(SMALL_RATIONALS) for a in range(n + 1) for b in range(n + 1) if a + b <= bound})
+    closed = draw(st.booleans())
+    support = [k for k in range(1, n + 1) if not closed or not algebra.differential[k]]
+    coeffs = {k: draw(SMALL_RATIONALS) for k in support}
+    phi = OneForm.make([coeffs.get(k, 0) for k in range(1, n + 1)])
+    kind = draw(st.sampled_from(list(DeformationKind)))
+    spec = DeformationSpec(algebra, kind, F, phi, is_closed(algebra, phi))
+    assert spec.phi_closed or not closed
+    return spec
+
+
+@settings(max_examples=30, deadline=None)
+@given(_deformations(), st.randoms(use_true_random=False))
+def test_form_bracket_matches_d_and_wedge_composition(spec, rng):
+    """On every pair of form monomials, and on random homogeneous forms,
+    ``form_bracket`` equals the composition from ``d`` and ``wedge``; a
+    non-homogeneous argument raises in either place."""
+    n = spec.algebra.n
+    basis = form_basis(n)
+    for alpha, beta in itertools.product(basis, repeat=2):
+        assert form_bracket(spec, alpha, beta) == _reference_form_bracket(spec, alpha, beta)
+    by_degree = [[m for m in basis if m.degree() == deg] for deg in range(n + 1)]
+
+    def homogeneous(deg):
+        out = GradedElement.zero(FORM, n)
+        for m in by_degree[deg]:
+            out = out + m.scale(PolyT([rng.randint(-2, 2), rng.randint(-2, 2)]))
+        return out
+
+    for a, b in itertools.product(range(n + 1), repeat=2):
+        alpha, beta = homogeneous(a), homogeneous(b)
+        assert form_bracket(spec, alpha, beta) == _reference_form_bracket(spec, alpha, beta)
+    mixed = mono(FORM, n) + mono(FORM, n, 1)
+    for args in ((mixed, mono(FORM, n)), (mono(FORM, n), mixed)):
+        with pytest.raises(ValueError):
+            form_bracket(spec, *args)
 
 
 # -- independent oracle for the deformed Schouten bracket --------------------

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from supdeform.brackets import DeformationSpec, SuperElement, extension_bracket
 from supdeform.chains import ChainComplexSystem, ChainElement, normalize
 from supdeform.config import load_config
+from supdeform.exterior import FORM, GradedElement, lie_derivative
 from supdeform.liealg import OneForm, VectorField, heisenberg3, solvable2
 from supdeform.scalars import ZERO, _zadd_term, poly
 
@@ -381,12 +382,19 @@ def _bracket_systems():
 @pytest.mark.parametrize("system", list(_bracket_systems()), ids=["dim2-extended", "aff1-aff1-g0prime", "heis-span2", "heis-span3"])
 def test_bracket_generators_match_extension_bracket(system):
     """Summing each generator-pair expansion back into a SuperElement gives
-    extension_bracket on the two generators' elements."""
+    extension_bracket on the two generators' elements, and on a vector and a
+    form it is the Lie derivative, [X, beta] = L_X beta = -[beta, X]."""
     elements = [item.element for item in system.brackets.items]
-    zero = SuperElement.zero(system.spec.algebra.n)
+    algebra, n = system.spec.algebra, system.spec.algebra.n
+    nvec = len(system.vector_basis)
+    zero = SuperElement.zero(n)
     for g1, u in enumerate(elements):
         for g2, v in enumerate(elements):
             total = zero
             for g, coeff in system.bracket_generators(g1, g2):
                 total = total + elements[g].scale(coeff)
             assert total == extension_bracket(system.spec, u, v)
+            if (g1 < nvec) != (g2 < nvec):
+                (x, beta), sign = ((g1, v), 1) if g1 < nvec else ((g2, u), -1)
+                lie = lie_derivative(algebra, system.vector_basis[x], GradedElement(FORM, n, beta.terms))
+                assert total == SuperElement.from_form(lie).scale(sign)

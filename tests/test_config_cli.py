@@ -282,6 +282,21 @@ class TestCli:
         assert payload["degree_one_reduces_to_lie"] is False
         assert payload["zero_phi_reduces_to_schouten"] is True
 
+    @pytest.mark.parametrize(
+        "command, digest",
+        [
+            ("axioms", "7c505f847856cd9eafa8cd414ba4b5cb71a509f9933820c725cd0df34a4a6eac"),
+            ("schouten", "8e5c4ce67717ce92a18c4c9e8a4bd343fecf993b6fc2ae260f85d16036aabff0"),
+        ],
+    )
+    def test_nonclosed_witness_reports_pinned(self, capsys, command, digest):
+        """The exit-1 reports on the non-closed Heisenberg config, witnesses
+        and their defects included, byte for byte."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main([command, "--config", self._cfg("heisenberg-nonclosed.cfg"), "--format", "json"]) == 1
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_axioms_json_round_trip(self, capsys):
         assert main(["axioms", "--config", self._cfg("dim2-extended.cfg"), "--format", "json"]) == 0
         out = capsys.readouterr().out.strip()

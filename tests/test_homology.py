@@ -827,6 +827,18 @@ def test_filiform6_g0p_weight_minus_four_answer_pinned(tmp_path, capsys):
     )
 
 
+def test_filiform6_g0p_axioms_report_pinned(tmp_path, capsys):
+    """Both axioms pass on the forms and on h (+) g0' of filiform-6, with
+    every pair and triple counted."""
+    path = tmp_path / "filiform6-g0prime.cfg"
+    path.write_text(FILIFORM6_G0P)
+    assert main(["axioms", "--config", str(path), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "dff972b1ac86490275b5ec78c3b6411ef8ec28a2e3a7e32799a57063e662cf62"
+    )
+
+
 def _reference_bracket(system, g1, g2):
     """Reference: [g1, g2] in chain generators over Q[t], a list of
     (generator, PolyT) read straight from the bracket table."""
