@@ -3,13 +3,18 @@ down admissible deformation functions F.
 
 Checkers work on a ``BracketSystem``: an ordered graded basis plus the
 bracket of two basis atoms (the keys of an element's ``terms``), evaluated
-once per pair into a memoized table.  "Pass" always means the defect
+once per pair into a memoized table.  From it each system computes, once, the
+bracket of every ordered pair of items and the first sorted pair that breaks
+super-antisymmetry; both checkers read them.  "Pass" always means the defect
 is the exact zero element of Q[t] coefficients, never numerically small.
 Each report is that of a scan over every ordered pair or triple: its witness
 is the lexicographically first failure, and ``checked`` counts the pairs or
-triples up to it.  The scans visit only sorted pairs, and sorted triples when
-the bracket is super-antisymmetric, because there the first failure is always
-sorted (see ``check_supersymmetry`` and ``check_superjacobi``).
+triples up to it.  No triple is scanned, though: ``check_superjacobi`` adds
+only the nonzero terms [[u, v], w] to the defects of the triples they are a
+rotation of, so its work grows with the nonzero brackets, and keeps only
+sorted triples when the bracket is super-antisymmetric, because there the
+first failure is always sorted (see ``check_supersymmetry`` and
+``check_superjacobi``).
 """
 
 from __future__ import annotations
@@ -17,16 +22,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 from . import qlinalg
 from .brackets import (
     DeformationSpec,
     SuperElement,
-    deformed_schouten,
     extension_atom_bracket,
     form_monomial_bracket,
+    multivector_monomial_bracket,
 )
 from .exterior import FORM, MULTIVECTOR, GradedElement, d, monomial_label
 from .liealg import LieAlgebraSpec, OneForm
@@ -55,8 +60,9 @@ class BracketSystem:
     ``SuperElement``).  ``atom_bracket(x, y)`` gives the terms of the bracket
     of two atoms, and the bracket of two elements is its bilinear sum: every
     bracket built here is Q[t]-bilinear, because F depends only on degrees.
-    The checkers read each atom pair from a table filled on first use, which
-    lives as long as the system.
+    The checkers read each atom pair from a table filled on first use, and
+    the bracket of every ordered pair of items from ``pair_images``, computed
+    once; both live as long as the system.
     """
 
     label: str
@@ -81,6 +87,29 @@ class BracketSystem:
     def image(self, u: dict, v: dict) -> dict:
         """[u, v] for two sparse elements, by bilinearity over the table."""
         return bilinear(u, v, self._tabled)
+
+    @cached_property
+    def pair_images(self) -> list[list[dict]]:
+        """The terms of [u, v] for every ordered pair of items, as
+        ``pair_images[u][v]`` by item index."""
+        atoms = [item.element.terms for item in self.items]
+        return [[self.image(x, y) for y in atoms] for x in atoms]
+
+    @cached_property
+    def antisymmetry_break(self) -> Optional[tuple[int, int]]:
+        """The first sorted pair of item indices i <= j whose
+        super-antisymmetry defect is nonzero, or None when the bracket is
+        super-antisymmetric on the items."""
+        images, items = self.pair_images, self.items
+        pairs = itertools.combinations_with_replacement(range(len(items)), 2)
+        return next(
+            (
+                (i, j)
+                for i, j in pairs
+                if _antisymmetry_defect(images[i][j], images[j][i], items[i].parity * items[j].parity % 2)
+            ),
+            None,
+        )
 
 
 def _form_monomials(n: int) -> list[tuple[int, ...]]:
@@ -107,12 +136,7 @@ def multivector_system(spec: LieAlgebraSpec, phi: OneForm) -> BracketSystem:
         BasisItem(monomial_label(MULTIVECTOR, ids), GradedElement.monomial(MULTIVECTOR, n, ids), len(ids) - 1)
         for ids in _form_monomials(n)[1:]
     ]
-
-    def atom_bracket(x, y):
-        P, Q = (GradedElement.monomial(MULTIVECTOR, n, ids) for ids in (x, y))
-        return deformed_schouten(spec, P, Q, phi).terms
-
-    return BracketSystem("multivectors[deformed Schouten]", items, atom_bracket)
+    return BracketSystem("multivectors[deformed Schouten]", items, partial(multivector_monomial_bracket, spec, phi))
 
 
 def extension_system(spec: DeformationSpec, vectors) -> BracketSystem:
@@ -185,80 +209,102 @@ def superjacobi_defect(system: BracketSystem, a: BasisItem, b: BasisItem, c: Bas
     return total
 
 
+def _add_terms(defect: dict, terms: dict, negate) -> None:
+    """Add ``terms`` into ``defect``, negated when ``negate`` is true."""
+    for z, c in terms.items():
+        add_term(defect, z, -c if negate else c)
+
+
 def _antisymmetry_defect(xy: dict, yx: dict, odd: int) -> dict:
     """The terms of [x, y] + (-1)^(x'y') [y, x], from the terms of [x, y]
     and [y, x] and the parity of x'y'."""
     defect = dict(xy)
-    for z, c in yx.items():
-        add_term(defect, z, -c if odd else c)
+    _add_terms(defect, yx, odd)
     return defect
 
 
 def check_supersymmetry(system: BracketSystem) -> AxiomReport:
-    """[x, y] against -(-1)^(x'y') [y, x] for every pair, read from the
-    bracket table; ``supersymmetry_defect`` is the direct reference.
+    """[x, y] against -(-1)^(x'y') [y, x] for every pair, read from the pair
+    table; ``supersymmetry_defect`` is the direct reference.
 
-    Only pairs i <= j are evaluated: the defect of (y, x) is (-1)^(x'y') times
-    the defect of (x, y), so the first failing ordered pair is sorted.  The
-    report is the ordered scan's: a pass counts n^2 pairs, and a failure at
-    (i, j) counts i*n + j + 1, with the same witness.
+    The defect of (y, x) is (-1)^(x'y') times the defect of (x, y), so the
+    first failing ordered pair is sorted: it is the system's
+    ``antisymmetry_break``.  The report is the ordered scan's: a pass counts
+    n^2 pairs, and a failure at (i, j) counts i*n + j + 1, with the same
+    witness.
     """
     items = system.items
     n = len(items)
-    atoms = [item.element.terms for item in items]
-    for i, j in itertools.combinations_with_replacement(range(n), 2):
-        xy, yx = system.image(atoms[i], atoms[j]), system.image(atoms[j], atoms[i])
-        defect = _antisymmetry_defect(xy, yx, (items[i].parity * items[j].parity) % 2)
-        if defect:
-            witness = Witness((items[i].label, items[j].label), items[0].element.like(defect))
-            return AxiomReport(system.label, "supersymmetry", "fail", witness, i * n + j + 1)
-    return AxiomReport(system.label, "supersymmetry", "pass", None, n * n)
+    if system.antisymmetry_break is None:
+        return AxiomReport(system.label, "supersymmetry", "pass", None, n * n)
+    i, j = system.antisymmetry_break
+    images = system.pair_images
+    defect = _antisymmetry_defect(images[i][j], images[j][i], items[i].parity * items[j].parity % 2)
+    witness = Witness((items[i].label, items[j].label), items[0].element.like(defect))
+    return AxiomReport(system.label, "supersymmetry", "fail", witness, i * n + j + 1)
 
 
 def check_superjacobi(system: BracketSystem) -> AxiomReport:
-    """Graded cyclic sum J(a, b, c) of [[u, v], w] over the triples of basis
-    items, by sparse contraction of the bracket table with itself;
-    ``superjacobi_defect`` is the direct reference.
+    """Graded cyclic sum J(a, b, c) of (-1)^(u'w') [[u, v], w] over the
+    rotations (u, v, w) of (a, b, c), for the triples of basis items, by
+    contracting only the nonzero terms; ``superjacobi_defect`` is the direct
+    reference.
 
-    When the bracket is super-antisymmetric on the items (checked exactly on
-    the table, as ``check_supersymmetry`` does), only sorted triples
-    a <= b <= c are evaluated, repeats included.  J is cyclic, and by
-    bilinearity and super-antisymmetry alone
-    J(b, a, c) = -(-1)^(a'b' + b'c' + c'a') J(a, b, c), so every permutation
-    of a triple gives +-J of its sorted form.  A failing triple's sorted
-    permutation therefore fails too and comes no later, so the first failing
-    ordered triple is sorted: the sorted scan meets it first, with the same
-    defect.  Otherwise every ordered triple is evaluated.  Either way the
-    report is the ordered scan's: a pass counts n^3 triples, and a failure at
-    (a, b, c) counts a*n^2 + b*n + c + 1.
+    No triple is visited.  [u, v] is read from the pair table, and for each
+    atom z of some [u, v] the items w with [z, w] != 0 are indexed once (from
+    the pair table too when z is an item), so the work grows with the nonzero
+    brackets, not with the n^3 triples.  A nonzero term (u, v, w) is a
+    rotation of the triples (u, v, w), (w, u, v) and (v, w, u), counted with
+    multiplicity ((a, a, a) gets its one rotation three times), and is added
+    with its sign to the defect of each: every triple receives exactly its
+    three rotations.
+
+    When the bracket is super-antisymmetric on the items (the system has no
+    ``antisymmetry_break``), only sorted triples a <= b <= c keep their
+    defects, repeats included.  J is cyclic, and by bilinearity and
+    super-antisymmetry alone J(b, a, c) = -(-1)^(a'b' + b'c' + c'a') J(a, b, c),
+    so every permutation of a triple gives +-J of its sorted form.  A failing
+    triple's sorted permutation therefore fails too and comes no later, so
+    the first failing ordered triple is sorted.  Otherwise every ordered
+    triple keeps its defect.  Either way the first failure is the least
+    triple with a nonzero defect, and its witness defect is recomputed
+    rotation by rotation.  The report is the ordered scan's: a pass counts
+    n^3 triples, and a failure at (a, b, c) counts a*n^2 + b*n + c + 1.
     """
     items = system.items
     n = len(items)
     atoms = [item.element.terms for item in items]
     parity = [item.parity for item in items]
-    inner = {(u, v): system.image(atoms[u], atoms[v]) for u, v in itertools.product(range(n), repeat=2)}
-    antisymmetric = not any(
-        _antisymmetry_defect(inner[(u, v)], inner[(v, u)], parity[u] * parity[v] % 2)
-        for u, v in itertools.combinations_with_replacement(range(n), 2)
-    )
-    if antisymmetric:
-        triples = itertools.combinations_with_replacement(range(n), 3)
-    else:
-        triples = itertools.product(range(n), repeat=3)
-    for a, b, c in triples:
-        defect: dict = {}
-        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
-            uv = inner[(u, v)]
-            if not uv:
+    images = system.pair_images
+    sorted_only = system.antisymmetry_break is None
+    item_of = {z: k for k, terms in enumerate(atoms) for z in terms if terms == {z: ONE}}  # the items that are atoms
+    partners: dict = {}  # atom z -> [(w, terms of [z, w])] for the items w with [z, w] != 0
+    defects: dict = {}
+    for u, v in itertools.product(range(n), repeat=2):
+        outer: dict = {}  # w -> terms of [[u, v], w]
+        for z, coeff in images[u][v].items():
+            if z not in partners:
+                row = images[item_of[z]] if z in item_of else [system.image({z: ONE}, x) for x in atoms]
+                partners[z] = [(w, zw) for w, zw in enumerate(row) if zw]
+            for w, zw in partners[z]:
+                term = outer.setdefault(w, {})
+                for k, c in zw.items():
+                    add_term(term, k, coeff * c)
+        for w, term in outer.items():
+            if not term:
                 continue
-            odd = parity[u] * parity[w] % 2
-            for z, coeff in system.image(uv, atoms[w]).items():
-                add_term(defect, z, -coeff if odd else coeff)
-        if defect:
-            labels = (items[a].label, items[b].label, items[c].label)
-            witness = Witness(labels, items[0].element.like(defect))
-            return AxiomReport(system.label, "superjacobi", "fail", witness, (a * n + b) * n + c + 1)
-    return AxiomReport(system.label, "superjacobi", "pass", None, n**3)
+            for triple in ((u, v, w), (w, u, v), (v, w, u)):
+                if not sorted_only or triple[0] <= triple[1] <= triple[2]:
+                    _add_terms(defects.setdefault(triple, {}), term, parity[u] * parity[w] % 2)
+    failing = [triple for triple, defect in defects.items() if defect]
+    if not failing:
+        return AxiomReport(system.label, "superjacobi", "pass", None, n**3)
+    a, b, c = min(failing)
+    defect: dict = {}
+    for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
+        _add_terms(defect, system.image(images[u][v], atoms[w]), parity[u] * parity[w] % 2)
+    witness = Witness((items[a].label, items[b].label, items[c].label), items[0].element.like(defect))
+    return AxiomReport(system.label, "superjacobi", "fail", witness, (a * n + b) * n + c + 1)
 
 
 def jacobi_closed_form(

@@ -24,13 +24,12 @@ from functools import cached_property
 from . import qlinalg
 from .exterior import (
     FORM,
+    MULTIVECTOR,
     GradedElement,
     _merge_tuples,
-    contract,
     d,
     is_closed,
     monomial_key,
-    schouten,
 )
 from .liealg import LieAlgebraSpec, OneForm, VectorField
 from .scalars import PolyT, T, Terms, _as_poly, add_term, bilinear, rat
@@ -215,25 +214,67 @@ def form_bracket(spec: DeformationSpec, alpha: GradedElement, beta: GradedElemen
     return proto.like(bilinear(alpha.terms, beta.terms, lambda I, J: form_monomial_bracket(spec, I, J)))
 
 
+def multivector_monomial_bracket(
+    spec: LieAlgebraSpec, phi: OneForm, I: tuple[int, ...], J: tuple[int, ...]
+) -> dict:
+    """The terms of the phi-deformed Schouten bracket [y_I, y_J]^phi of two
+    multivector monomials, of degrees p and q.  With s and r counted from 0,
+
+        sum_{s,r} (-1)^(s+r) [y_{I_s}, y_{J_r}] ^ y_{I - I_s} ^ y_{J - J_r}
+        + (-1)^p (q-1) sum_s (-1)^s phi_{I_s} y_{I - I_s} ^ y_J
+        + (p-1) sum_r (-1)^r phi_{J_r} y_I ^ y_{J - J_r}.
+    """
+    p, q = len(I), len(J)
+    acc: dict = {}
+
+    def add(left, right, coeff):
+        merged = _merge_tuples(left, right)
+        if merged is not None:
+            sign, ids = merged
+            acc[ids] = acc.get(ids, 0) + (coeff if sign > 0 else -coeff)
+
+    for s, i in enumerate(I):
+        rest_i = I[:s] + I[s + 1 :]
+        for r, j in enumerate(J):
+            lie = spec.bracket_basis(i, j)
+            if not lie:
+                continue
+            merged = _merge_tuples(rest_i, J[:r] + J[r + 1 :])
+            if merged is None:
+                continue
+            sign, rest = merged
+            if (s + r) % 2:
+                sign = -sign
+            for k, ck in lie.items():
+                add((k,), rest, ck if sign > 0 else -ck)
+    if not phi.is_zero():
+        if q != 1:
+            scale = q - 1 if p % 2 == 0 else 1 - q
+            for s, i in enumerate(I):
+                if phi.coeffs[i - 1]:
+                    add(I[:s] + I[s + 1 :], J, scale * phi.coeffs[i - 1] * (-1) ** s)
+        if p != 1:
+            for r, j in enumerate(J):
+                if phi.coeffs[j - 1]:
+                    add(I, J[:r] + J[r + 1 :], (p - 1) * phi.coeffs[j - 1] * (-1) ** r)
+    return {ids: PolyT.const(c) for ids, c in acc.items() if c}
+
+
 def deformed_schouten(
     spec: LieAlgebraSpec, P: GradedElement, Q: GradedElement, phi: OneForm
 ) -> GradedElement:
-    """Schouten bracket corrected by phi-contractions:
+    """Schouten bracket corrected by phi-contractions, the bilinear sum of
+    ``multivector_monomial_bracket``:
 
     [P,Q]^phi = [P,Q] + (-1)^p (q-1) iota_phi(P) ^ Q + (p-1) P ^ iota_phi(Q)
 
     The super bracket axioms are guaranteed when phi is a 1-cocycle.
     """
-    p = _require_homogeneous(P, "deformed_schouten")
-    q = _require_homogeneous(Q, "deformed_schouten")
-    result = schouten(spec, P, Q)
-    if not phi.is_zero():
-        if q != 1:
-            left = contract(P, phi).wedge(Q).scale(q - 1)
-            result = result + (left if p % 2 == 0 else -left)
-        if p != 1:
-            result = result + P.wedge(contract(Q, phi)).scale(p - 1)
-    return result
+    proto = GradedElement.zero(MULTIVECTOR, spec.n)
+    for x in (P, Q):
+        proto._require_like(x)
+        _require_homogeneous(x, "deformed_schouten")
+    return proto.like(bilinear(P.terms, Q.terms, lambda I, J: multivector_monomial_bracket(spec, phi, I, J)))
 
 
 class SuperElement(Terms):

@@ -4,7 +4,6 @@ import itertools
 import math
 import random
 import warnings
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +12,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from supdeform import axioms
 from supdeform.axioms import (
     BasisItem,
     BracketSystem,
@@ -355,37 +355,66 @@ def test_superjacobi_keeps_ordered_scan_without_supersymmetry():
     _assert_table_matches_direct(system)
 
 
-def test_superjacobi_contracts_only_sorted_triples_on_a_passing_system():
-    """On filiform-5 the scan contracts the rotations of the C(n + 2, 3)
-    sorted triples, not of all n^3 ordered ones, and still reports n^3."""
+def test_superjacobi_cancels_terms_from_different_pairs():
+    """sl(2) on z1 = h, z2 = e, z3 = f, plus [z4, z5] = h.  On (z1, z2, z3) the
+    terms of the pairs (z1, z2) and (z3, z1), 2h and -2h, cancel exactly, so
+    it passes; the first failure is the later (z2, z4, z5), with defect
+    [[z4, z5], z2] = [h, e] = 2e."""
+    two = ONE + ONE
+    constants = {
+        (0, 1): {1: two}, (1, 0): {1: -two},
+        (0, 2): {2: -two}, (2, 0): {2: two},
+        (1, 2): {0: ONE}, (2, 1): {0: -ONE},
+        (3, 4): {0: ONE}, (4, 3): {0: -ONE},
+    }  # fmt: skip
+    system = _structure_system([0] * 5, constants)
+    z1, z2, z3 = system.items[:3]
+    rotations = ((z1, z2, z3), (z2, z3, z1), (z3, z1, z2))
+    terms = [system.bracket(system.bracket(u.element, v.element), w.element) for u, v, w in rotations]
+    assert [str(term) for term in terms] == ["2*z1", "0", "-2*z1"]
+    assert superjacobi_defect(system, z1, z2, z3).is_zero()
+    assert _direct_check(system, 3) == (45, ("z2", "z4", "z5"), "2*z2")
+    _assert_table_matches_direct(system)
+
+
+def test_superjacobi_odd_generator_fails_on_its_repeated_triple():
+    """z2 odd with [z2, z2] = z3 and [z3, z2] = z2: the one rotation of
+    (z2, z2, z2), -[[z2, z2], z2] = -z2, counts three times, and no earlier
+    triple fails."""
+    constants = {(1, 1): {2: ONE}, (2, 1): {1: ONE}, (1, 2): {1: -ONE}}
+    system = _structure_system([0, -1, 0], constants)
+    assert check_supersymmetry(system).passed
+    assert _direct_check(system, 3) == (14, ("z2", "z2", "z2"), "-3*z2")
+    _assert_table_matches_direct(system)
+
+
+def test_superjacobi_contracts_only_sorted_triples_on_a_passing_system(monkeypatch):
+    """On filiform-5 the contraction adds only the nonzero terms [[u, v], w]
+    that are rotations of sorted triples: 30 terms, against the 17 952
+    rotations of the C(n + 2, 3) sorted triples.  It reads the pair table
+    ``check_supersymmetry`` filled, with no second antisymmetry test, and
+    the report still counts all n^3 ordered triples."""
     config = load_config(str(ROOT / "bench" / "configs" / "filiform5-standard.cfg"))
-    base = form_system(config.deformation)
-    items = base.items
-    n = len(items)
-    system = BracketSystem(base.label, items, base.atom_bracket)
-    calls = []
+    system = form_system(config.deformation)
+    n = len(system.items)
+    assert check_supersymmetry(system).passed
+    added = []
+    add_terms = axioms._add_terms
 
-    def image(u, v):
-        out = BracketSystem.image(system, u, v)
-        calls.append((u, v, out))  # holds every result, so the ids below stay unique
-        return out
+    def counted(defect, terms, negate):
+        added.append(terms)
+        add_terms(defect, terms, negate)
 
-    system.image = image
+    monkeypatch.setattr(axioms, "_add_terms", counted)
     report = check_superjacobi(system)
     assert report.passed and report.checked == n**3 == 32768
-    # the first n^2 contractions fill [u, v] for every pair of items; each later
-    # one is [[u, v], w] for a rotation (u, v, w) of a scanned triple with [u, v] != 0
-    position = {id(item.element.terms): k for k, item in enumerate(items)}
-    pair = {id(out): (position[id(u)], position[id(v)]) for u, v, out in calls[: n * n]}
-    assert len(pair) == n * n
-    contracted = Counter(pair[id(uv)] + (position[id(w)],) for uv, w, _ in calls[n * n :])
+    assert len(added) == 30 and all(added)
+    # the same count, rotation by rotation over every sorted triple
     sorted_triples = list(itertools.combinations_with_replacement(range(n), 3))
-    assert len(sorted_triples) == math.comb(n + 2, 3) == 5984
-    inner = {pair[id(out)]: out for _, _, out in calls[: n * n]}
-    expected = Counter(
-        (u, v, w) for a, b, c in sorted_triples for u, v, w in ((a, b, c), (b, c, a), (c, a, b)) if inner[(u, v)]
-    )
-    assert contracted == expected
+    rotations = [(u, v, w) for a, b, c in sorted_triples for u, v, w in ((a, b, c), (b, c, a), (c, a, b))]
+    assert len(rotations) == 3 * math.comb(n + 2, 3) == 17952
+    atoms = [item.element.terms for item in system.items]
+    assert sum(bool(system.image(system.image(atoms[u], atoms[v]), atoms[w])) for u, v, w in rotations) == 30
 
 
 # -- F solution spaces -------------------------------------------------------

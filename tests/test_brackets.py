@@ -18,6 +18,7 @@ from supdeform.brackets import (
     deformed_schouten,
     extension_bracket,
     form_bracket,
+    multivector_monomial_bracket,
     solve_g0_doubleprime,
     solve_g0_prime,
 )
@@ -335,6 +336,62 @@ class TestDeformedSchouten:
         basis = [mono(MULTIVECTOR, 2, 1), mono(MULTIVECTOR, 2, 2), mono(MULTIVECTOR, 2, 1, 2)]
         for P, Q in itertools.product(basis, repeat=2):
             assert deformed_schouten(ALG2, P, Q, zero) == schouten(ALG2, P, Q)
+
+
+# -- the monomial kernel of deformed_schouten against the composed formula ---
+
+
+def _reference_deformed_schouten(spec, P, Q, phi):
+    """[P, Q] + (-1)^p (q-1) iota_phi(P) ^ Q + (p-1) P ^ iota_phi(Q), composed
+    from ``schouten``, ``contract`` and ``wedge``."""
+    p, q = P.degree(), Q.degree()
+    result = schouten(spec, P, Q)
+    if not phi.is_zero():
+        if q != 1:
+            left = contract(P, phi).wedge(Q).scale(q - 1)
+            result = result + (left if p % 2 == 0 else -left)
+        if p != 1:
+            result = result + P.wedge(contract(Q, phi)).scale(p - 1)
+    return result
+
+
+def _shipped_algebras():
+    """(algebra, phi) of every shipped config."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        configs = [load_config(path) for path in sorted((ROOT / "configs").glob("*.cfg"))]
+    return [(config.algebra, config.phi) for config in configs]
+
+
+SCHOUTEN_CASES = _shipped_algebras() + [(algebra, None) for algebra in KERNEL_ALGEBRAS]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(SCHOUTEN_CASES), st.data(), st.randoms(use_true_random=False))
+def test_multivector_kernel_matches_composed_deformed_schouten(case, data, rng):
+    """On every pair of multivector monomials, with the config's phi and with
+    a drawn one, ``multivector_monomial_bracket`` gives the terms of the
+    composed formula; ``deformed_schouten``, its bilinear sum, equals the
+    formula on random homogeneous multivectors."""
+    algebra, shipped_phi = case
+    n = algebra.n
+    drawn = OneForm.make(data.draw(st.lists(SMALL_RATIONALS, min_size=n, max_size=n)))
+    monomials = [ids for deg in range(n + 1) for ids in itertools.combinations(range(1, n + 1), deg)]
+
+    def homogeneous(deg):
+        out = GradedElement.zero(MULTIVECTOR, n)
+        for ids in monomials:
+            if len(ids) == deg:
+                out = out + mono(MULTIVECTOR, n, *ids).scale(PolyT([rng.randint(-2, 2), rng.randint(-2, 2)]))
+        return out
+
+    for phi in [drawn] + ([shipped_phi] if shipped_phi else []):
+        for I, J in itertools.product(monomials, repeat=2):
+            expected = _reference_deformed_schouten(algebra, mono(MULTIVECTOR, n, *I), mono(MULTIVECTOR, n, *J), phi)
+            assert multivector_monomial_bracket(algebra, phi, I, J) == expected.terms
+        for p, q in itertools.product(range(n + 1), repeat=2):
+            P, Q = homogeneous(p), homogeneous(q)
+            assert deformed_schouten(algebra, P, Q, phi) == _reference_deformed_schouten(algebra, P, Q, phi)
 
 
 class TestExtensionBracket:

@@ -270,13 +270,13 @@ class TestCli:
         reduction, while the phi = 0 reduction still holds."""
         from supdeform import axioms
 
-        original = axioms.deformed_schouten
+        original = axioms.multivector_monomial_bracket
 
-        def doubled_on_vectors(spec, x, y, phi):
-            image = original(spec, x, y, phi)
-            return image.scale(2) if x.degree() == y.degree() == 1 else image
+        def doubled_on_vectors(spec, phi, I, J):
+            image = original(spec, phi, I, J)
+            return {ids: c + c for ids, c in image.items()} if len(I) == len(J) == 1 else image
 
-        monkeypatch.setattr(axioms, "deformed_schouten", doubled_on_vectors)
+        monkeypatch.setattr(axioms, "multivector_monomial_bracket", doubled_on_vectors)
         assert main(["schouten", "--config", self._cfg("dim2-standard.cfg"), "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["degree_one_reduces_to_lie"] is False

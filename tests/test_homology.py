@@ -839,6 +839,39 @@ def test_filiform6_g0p_axioms_report_pinned(tmp_path, capsys):
     )
 
 
+FILIFORM7_G0P = """
+[algebra]
+dim = 7
+bracket 1 2 -> 3 : 1
+bracket 1 3 -> 4 : 1
+bracket 1 4 -> 5 : 1
+bracket 1 5 -> 6 : 1
+bracket 1 6 -> 7 : 1
+
+[phi]
+coeffs = 0 1 0 0 0 0 0
+
+[deformation]
+kind = standard
+
+[extension]
+subalgebra = g0prime
+"""
+
+
+def test_filiform7_g0p_axioms_report_pinned(tmp_path, capsys):
+    """Both axioms pass on the forms and on h (+) g0' of filiform-7: the
+    super Jacobi contraction on 135 items, with 2 460 375 triples counted."""
+    path = tmp_path / "filiform7-g0prime.cfg"
+    path.write_text(FILIFORM7_G0P)
+    assert main(["axioms", "--config", str(path), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert '"checked": 2460375' in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b115e2551a870fbd37b6a0dff62abbc1a3c2008ce79c49d5528b6f49f3a80195"
+    )
+
+
 def _reference_bracket(system, g1, g2):
     """Reference: [g1, g2] in chain generators over Q[t], a list of
     (generator, PolyT) read straight from the bracket table."""
