@@ -2,11 +2,13 @@
 down admissible deformation functions F.
 
 Checkers work on a ``BracketSystem``: an ordered graded basis plus the
-bracket of two basis atoms (the keys of an element's ``terms``), evaluated
-once per pair into a memoized table.  From it each system computes, once, the
-bracket of every ordered pair of items and the first sorted pair that breaks
-super-antisymmetry; both checkers read them.  "Pass" always means the defect
-is the exact zero element of Q[t] coefficients, never numerically small.
+bracket of two basis atoms (the keys of an element's ``terms``).  From it
+each system computes, once, its one bracket store, the pair table: a sparse
+row per item with only the nonzero brackets of that item and the others,
+and from the table the first sorted pair that breaks super-antisymmetry;
+both checkers read them.  No atom pair is memoized.  "Pass" always means
+the defect is the exact zero element of Q[t] coefficients, never
+numerically small.
 Each report is that of a scan over every ordered pair or triple: its witness
 is the lexicographically first failure, and ``checked`` counts the pairs or
 triples up to it.  No triple is scanned, though: ``check_superjacobi`` adds
@@ -60,56 +62,51 @@ class BracketSystem:
     ``SuperElement``).  ``atom_bracket(x, y)`` gives the terms of the bracket
     of two atoms, and the bracket of two elements is its bilinear sum: every
     bracket built here is Q[t]-bilinear, because F depends only on degrees.
-    The checkers read each atom pair from a table filled on first use, and
-    the bracket of every ordered pair of items from ``pair_images``, computed
-    once; both live as long as the system.
+    The one bracket store is ``pair_images``, the nonzero brackets of the
+    ordered pairs of items, computed once and kept as long as the system;
+    nothing is memoized per atom pair.
     """
 
     label: str
     items: list[BasisItem]
     atom_bracket: Callable
-    table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def triples(self):
-        return itertools.product(self.items, repeat=3)
-
-    def bracket(self, u, v):
-        """[u, v] for two elements, from ``atom_bracket`` without the table:
-        the bracket the direct references compose."""
-        return u.like(bilinear(u.terms, v.terms, self.atom_bracket))
-
-    def _tabled(self, x, y) -> dict:
-        image = self.table.get((x, y))
-        if image is None:
-            image = self.table[(x, y)] = self.atom_bracket(x, y)
-        return image
 
     def image(self, u: dict, v: dict) -> dict:
-        """[u, v] for two sparse elements, by bilinearity over the table."""
-        return bilinear(u, v, self._tabled)
+        """[u, v] for two sparse elements, the bilinear sum of ``atom_bracket``."""
+        return bilinear(u, v, self.atom_bracket)
+
+    def bracket(self, u, v):
+        """[u, v] for two elements: the bracket the direct references compose."""
+        return u.like(self.image(u.terms, v.terms))
+
+    def row(self, x: dict) -> dict[int, dict]:
+        """The sparse row of x: item index v -> the terms of [x, v], for every
+        item v with [x, v] != 0."""
+        return {v: xv for v, item in enumerate(self.items) if (xv := self.image(x, item.element.terms))}
 
     @cached_property
-    def pair_images(self) -> list[list[dict]]:
-        """The terms of [u, v] for every ordered pair of items, as
-        ``pair_images[u][v]`` by item index."""
-        atoms = [item.element.terms for item in self.items]
-        return [[self.image(x, y) for y in atoms] for x in atoms]
+    def pair_images(self) -> list[dict[int, dict]]:
+        """The pair table, ``pair_images[u]`` the row of item u: a pair
+        missing from its row has bracket zero."""
+        return [self.row(item.element.terms) for item in self.items]
+
+    def antisymmetry_defect(self, i: int, j: int) -> dict:
+        """The terms of [x, y] + (-1)^(x'y') [y, x] for the items x, y of
+        indices i, j, read from the pair table."""
+        images, items = self.pair_images, self.items
+        defect = dict(images[i].get(j, {}))
+        _add_terms(defect, images[j].get(i, {}), items[i].parity * items[j].parity % 2)
+        return defect
 
     @cached_property
     def antisymmetry_break(self) -> Optional[tuple[int, int]]:
         """The first sorted pair of item indices i <= j whose
         super-antisymmetry defect is nonzero, or None when the bracket is
-        super-antisymmetric on the items."""
-        images, items = self.pair_images, self.items
-        pairs = itertools.combinations_with_replacement(range(len(items)), 2)
-        return next(
-            (
-                (i, j)
-                for i, j in pairs
-                if _antisymmetry_defect(images[i][j], images[j][i], items[i].parity * items[j].parity % 2)
-            ),
-            None,
-        )
+        super-antisymmetric on the items.  A pair whose brackets are zero
+        both ways has no defect, so only the sorted pairs with a nonzero
+        bracket in either order are scanned."""
+        pairs = sorted({(min(i, j), max(i, j)) for i, row in enumerate(self.pair_images) for j in row})
+        return next((pair for pair in pairs if self.antisymmetry_defect(*pair)), None)
 
 
 def _form_monomials(n: int) -> list[tuple[int, ...]]:
@@ -215,14 +212,6 @@ def _add_terms(defect: dict, terms: dict, negate) -> None:
         add_term(defect, z, -c if negate else c)
 
 
-def _antisymmetry_defect(xy: dict, yx: dict, odd: int) -> dict:
-    """The terms of [x, y] + (-1)^(x'y') [y, x], from the terms of [x, y]
-    and [y, x] and the parity of x'y'."""
-    defect = dict(xy)
-    _add_terms(defect, yx, odd)
-    return defect
-
-
 def check_supersymmetry(system: BracketSystem) -> AxiomReport:
     """[x, y] against -(-1)^(x'y') [y, x] for every pair, read from the pair
     table; ``supersymmetry_defect`` is the direct reference.
@@ -238,9 +227,7 @@ def check_supersymmetry(system: BracketSystem) -> AxiomReport:
     if system.antisymmetry_break is None:
         return AxiomReport(system.label, "supersymmetry", "pass", None, n * n)
     i, j = system.antisymmetry_break
-    images = system.pair_images
-    defect = _antisymmetry_defect(images[i][j], images[j][i], items[i].parity * items[j].parity % 2)
-    witness = Witness((items[i].label, items[j].label), items[0].element.like(defect))
+    witness = Witness((items[i].label, items[j].label), items[0].element.like(system.antisymmetry_defect(i, j)))
     return AxiomReport(system.label, "supersymmetry", "fail", witness, i * n + j + 1)
 
 
@@ -278,15 +265,14 @@ def check_superjacobi(system: BracketSystem) -> AxiomReport:
     images = system.pair_images
     sorted_only = system.antisymmetry_break is None
     item_of = {z: k for k, terms in enumerate(atoms) for z in terms if terms == {z: ONE}}  # the items that are atoms
-    partners: dict = {}  # atom z -> [(w, terms of [z, w])] for the items w with [z, w] != 0
+    partners: dict = {}  # atom z -> {w: terms of [z, w]} for the items w with [z, w] != 0
     defects: dict = {}
-    for u, v in itertools.product(range(n), repeat=2):
+    for u, v, uv in ((u, v, uv) for u, row in enumerate(images) for v, uv in row.items()):
         outer: dict = {}  # w -> terms of [[u, v], w]
-        for z, coeff in images[u][v].items():
+        for z, coeff in uv.items():
             if z not in partners:
-                row = images[item_of[z]] if z in item_of else [system.image({z: ONE}, x) for x in atoms]
-                partners[z] = [(w, zw) for w, zw in enumerate(row) if zw]
-            for w, zw in partners[z]:
+                partners[z] = images[item_of[z]] if z in item_of else system.row({z: ONE})
+            for w, zw in partners[z].items():
                 term = outer.setdefault(w, {})
                 for k, c in zw.items():
                     add_term(term, k, coeff * c)
@@ -302,7 +288,7 @@ def check_superjacobi(system: BracketSystem) -> AxiomReport:
     a, b, c = min(failing)
     defect: dict = {}
     for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
-        _add_terms(defect, system.image(images[u][v], atoms[w]), parity[u] * parity[w] % 2)
+        _add_terms(defect, system.image(images[u].get(v, {}), atoms[w]), parity[u] * parity[w] % 2)
     witness = Witness((items[a].label, items[b].label, items[c].label), items[0].element.like(defect))
     return AxiomReport(system.label, "superjacobi", "fail", witness, (a * n + b) * n + c + 1)
 

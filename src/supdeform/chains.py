@@ -81,8 +81,9 @@ class ChainElement(Terms):
 class ChainComplexSystem:
     """Generators, their bracket, and the boundary for one deformation.
 
-    ``brackets`` is the extension system whose items are the generators, and
-    whose atom-pair table gives every generator bracket; ``degree[g]`` and
+    ``brackets`` is the extension system whose items are the generators;
+    its bilinear ``image`` gives each generator bracket, which the
+    generator-pair memo here holds once evaluated.  ``degree[g]`` and
     ``parity[g]`` are item g's super degree and its parity.
     """
 

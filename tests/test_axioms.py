@@ -263,7 +263,7 @@ def test_table_contraction_matches_every_direct_defect():
     vectors = [VectorField.basis(3, 1), VectorField.make((2, 0, -1))]
     for system in (form_system(spec), extension_system(spec, vectors)):
         failing = 0
-        for a, b, c in system.triples():
+        for a, b, c in itertools.product(system.items, repeat=3):
             total = None
             for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
                 uv = system.image(u.element.terms, v.element.terms)
@@ -276,8 +276,8 @@ def test_table_contraction_matches_every_direct_defect():
 
 
 def test_bracket_table_evaluates_each_atom_pair_once():
-    """The checkers fill the table with one atom bracket per pair of atoms:
-    n^2 on a passing system, 1 024 on filiform-5."""
+    """Both checkers together evaluate one atom bracket per ordered pair of
+    atoms, each once: n^2 on a passing system, 1 024 on filiform-5."""
     for config, pairs in (("configs/heisenberg-closed.cfg", 64), ("bench/configs/filiform5-standard.cfg", 1024)):
         calls = []
         base = form_system(load_config(str(ROOT / config)).deformation)
@@ -289,7 +289,29 @@ def test_bracket_table_evaluates_each_atom_pair_once():
         system = BracketSystem(base.label, base.items, counted)
         assert check_supersymmetry(system).passed
         assert check_superjacobi(system).passed
-        assert len(calls) == len(set(calls)) == len(system.table) == len(system.items) ** 2 == pairs
+        atoms = [atom for item in system.items for atom in item.element.terms]
+        assert len(calls) == len(set(calls)) == len(system.items) ** 2 == pairs
+        assert set(calls) == set(itertools.product(atoms, repeat=2))
+
+
+@pytest.mark.parametrize("name", SHIPPED + ["filiform5"])
+def test_pair_table_rows_hold_exactly_the_nonzero_brackets(name):
+    """Every row of the pair table holds [u, v] for the items v with a
+    nonzero bracket, and nothing else: no empty image is stored, and no
+    nonzero one is missing."""
+    if name == "filiform5":
+        systems = [form_system(load_config(str(ROOT / "bench" / "configs" / "filiform5-standard.cfg")).deformation)]
+    else:
+        systems = _shipped_systems(name)
+    for system in systems:
+        stored = {(u, v): image for u, row in enumerate(system.pair_images) for v, image in row.items()}
+        nonzero = {}
+        for (u, x), (v, y) in itertools.product(enumerate(system.items), repeat=2):
+            value = system.bracket(x.element, y.element)
+            if not value.is_zero():
+                nonzero[(u, v)] = value.terms
+        assert stored == nonzero
+        assert len(stored) < len(system.items) ** 2
 
 
 # -- sorted scans against the ordered oracle ---------------------------------
@@ -352,6 +374,20 @@ def test_superjacobi_keeps_ordered_scan_without_supersymmetry():
     system = _structure_system([0, 0, 0], {(0, 0): {1: ONE}, (2, 1): {0: ONE}})
     assert not check_supersymmetry(system).passed
     assert _direct_check(system, 3) == (8, ("z1", "z3", "z2"), "z2")
+    _assert_table_matches_direct(system)
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_one_sided_bracket_breaks_antisymmetry(mirror):
+    """[z1, z2] = z3 with [z2, z1] = 0, or the mirror case: the pair sits in
+    one row of the table only and still breaks antisymmetry at (z1, z2),
+    with defect z3 either way.  [z3, z1] = z2 makes super Jacobi fail on
+    (z1, z1, z2), with defect z2 either way."""
+    one_sided = {(1, 0) if mirror else (0, 1): {2: ONE}}
+    system = _structure_system([0, 0, 0], {**one_sided, (2, 0): {1: ONE}})
+    assert (1 in system.pair_images[0]) != mirror and (0 in system.pair_images[1]) == mirror
+    assert _direct_check(system, 2) == (2, ("z1", "z2"), "z3")
+    assert _direct_check(system, 3) == (2, ("z1", "z1", "z2"), "z2")
     _assert_table_matches_direct(system)
 
 

@@ -872,9 +872,44 @@ def test_filiform7_g0p_axioms_report_pinned(tmp_path, capsys):
     )
 
 
+FILIFORM8_G0P = """
+[algebra]
+dim = 8
+bracket 1 2 -> 3 : 1
+bracket 1 3 -> 4 : 1
+bracket 1 4 -> 5 : 1
+bracket 1 5 -> 6 : 1
+bracket 1 6 -> 7 : 1
+bracket 1 7 -> 8 : 1
+
+[phi]
+coeffs = 0 1 0 0 0 0 0 0
+
+[deformation]
+kind = standard
+
+[extension]
+subalgebra = g0prime
+"""
+
+
+def test_filiform8_g0p_axioms_report_pinned(tmp_path, capsys):
+    """Both axioms pass on the forms and on h (+) g0' of filiform-8: 264
+    items, of whose 69 696 ordered pairs only the nonzero ones are held,
+    and 18 399 744 triples counted."""
+    path = tmp_path / "filiform8-g0prime.cfg"
+    path.write_text(FILIFORM8_G0P)
+    assert main(["axioms", "--config", str(path), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert '"checked": 18399744' in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "860c4af10db29c92d8328d4dc86518f042e490e9011479350b4fe75b88459bd3"
+    )
+
+
 def _reference_bracket(system, g1, g2):
     """Reference: [g1, g2] in chain generators over Q[t], a list of
-    (generator, PolyT) read straight from the bracket table."""
+    (generator, PolyT) read straight from the bilinear bracket ``image``."""
     items = system.brackets.items
     value = system.brackets.image(items[g1].element.terms, items[g2].element.terms)
     out = [(system.form_index[ids], coeff) for ids, coeff in value.items() if isinstance(ids, tuple)]
