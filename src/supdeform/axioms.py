@@ -6,7 +6,11 @@ bracket of two basis atoms (the keys of an element's ``terms``).  From it
 each system computes, once, its one bracket store, the pair table: a sparse
 row per item with only the nonzero brackets of that item and the others,
 and from the table the first sorted pair that breaks super-antisymmetry;
-both checkers read them.  No atom pair is memoized.  "Pass" always means
+both checkers read them.  No atom pair is memoized.  A row tries only the
+items its system names as partners: a form bracket [z_I, z_J] vanishes
+unless I and J are disjoint, so the row of a form monomial tries the 2^(n-a)
+monomials disjoint from it (3^n pairs of the 4^n), plus every vector of an
+extension; other rows try every item.  "Pass" always means
 the defect is the exact zero element of Q[t] coefficients, never
 numerically small.
 Each report is that of a scan over every ordered pair or triple: its witness
@@ -25,7 +29,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from . import qlinalg
 from .brackets import (
@@ -64,12 +68,15 @@ class BracketSystem:
     bracket built here is Q[t]-bilinear, because F depends only on degrees.
     The one bracket store is ``pair_images``, the nonzero brackets of the
     ordered pairs of items, computed once and kept as long as the system;
-    nothing is memoized per atom pair.
+    nothing is memoized per atom pair.  ``partners(x)`` names, in increasing
+    order, the item indices whose bracket with x can be nonzero, the only
+    ones ``row`` tries; None (the default) tries every item.
     """
 
     label: str
     items: list[BasisItem]
     atom_bracket: Callable
+    partners: Optional[Callable[[dict], Sequence[int]]] = None
 
     def image(self, u: dict, v: dict) -> dict:
         """[u, v] for two sparse elements, the bilinear sum of ``atom_bracket``."""
@@ -81,8 +88,11 @@ class BracketSystem:
 
     def row(self, x: dict) -> dict[int, dict]:
         """The sparse row of x: item index v -> the terms of [x, v], for every
-        item v with [x, v] != 0."""
-        return {v: xv for v, item in enumerate(self.items) if (xv := self.image(x, item.element.terms))}
+        item v with [x, v] != 0.  Only the items ``partners(x)`` names are
+        tried, every item when ``partners`` is None."""
+        items = self.items
+        tried = range(len(items)) if self.partners is None else self.partners(x)
+        return {v: xv for v in tried if (xv := self.image(x, items[v].element.terms))}
 
     @cached_property
     def pair_images(self) -> list[dict[int, dict]]:
@@ -116,18 +126,55 @@ def _form_monomials(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _disjoint_partners(n: int, offset: int) -> dict[tuple[int, ...], list[int]]:
+    """For each form monomial z_I, the positions of the monomials z_J with
+    I and J disjoint, in increasing order, when the 2^n monomials are items
+    offset, offset + 1, ... in the order of ``_form_monomials``.  Those J are
+    the submasks of the complement of I: 3^n pairs in all."""
+    monomials = _form_monomials(n)
+    masks = [sum(1 << (i - 1) for i in ids) for ids in monomials]
+    position = {mask: offset + pos for pos, mask in enumerate(masks)}
+    full = (1 << n) - 1
+    out = {}
+    for ids, mask in zip(monomials, masks):
+        rest = full ^ mask
+        found, sub = [], rest
+        while True:
+            found.append(position[sub])
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        out[ids] = sorted(found)
+    return out
+
+
+def _form_partners(disjoint: dict, every: Sequence[int], x: dict) -> Sequence[int]:
+    """The items to try for the row of x: the ``disjoint`` entry of a single
+    form atom, ``every`` item otherwise."""
+    if len(x) == 1:
+        (atom,) = x
+        if isinstance(atom, tuple):
+            return disjoint[atom]
+    return every
+
+
 def form_system(spec: DeformationSpec) -> BracketSystem:
-    """The superalgebra of forms with the configured deformed bracket."""
+    """The superalgebra of forms with the configured deformed bracket.  A
+    form bracket [z_I, z_J] is zero unless I and J are disjoint, so the row
+    of a monomial tries only the monomials disjoint from it."""
     n = spec.algebra.n
     items = [
         BasisItem(monomial_label(FORM, ids), GradedElement.monomial(FORM, n, ids), -len(ids) - 1)
         for ids in _form_monomials(n)
     ]
-    return BracketSystem(f"forms[{spec.describe()}]", items, partial(form_monomial_bracket, spec))
+    partners = partial(_form_partners, _disjoint_partners(n, 0), range(len(items)))
+    return BracketSystem(f"forms[{spec.describe()}]", items, partial(form_monomial_bracket, spec), partners)
 
 
 def multivector_system(spec: LieAlgebraSpec, phi: OneForm) -> BracketSystem:
-    """Multivectors of degree >= 1 with the phi-deformed Schouten bracket."""
+    """Multivectors of degree >= 1 with the phi-deformed Schouten bracket.
+    Two multivector monomials that share an index can have a nonzero
+    bracket, so every row tries every item."""
     n = spec.n
     items = [
         BasisItem(monomial_label(MULTIVECTOR, ids), GradedElement.monomial(MULTIVECTOR, n, ids), len(ids) - 1)
@@ -148,7 +195,11 @@ def extension_system(spec: DeformationSpec, vectors) -> BracketSystem:
         items.append(BasisItem(label, SuperElement.from_vector(v), 0))
     for ids in _form_monomials(n):
         items.append(BasisItem(monomial_label(FORM, ids), SuperElement(n, {ids: ONE}), -len(ids) - 1))
-    return BracketSystem(f"extension[{spec.describe()}]", items, partial(extension_atom_bracket, spec))
+    # a form atom tries every vector item and the form items disjoint from it
+    m = len(vectors)
+    disjoint = {ids: [*range(m), *forms] for ids, forms in _disjoint_partners(n, m).items()}
+    partners = partial(_form_partners, disjoint, range(len(items)))
+    return BracketSystem(f"extension[{spec.describe()}]", items, partial(extension_atom_bracket, spec), partners)
 
 
 @dataclass
@@ -265,14 +316,14 @@ def check_superjacobi(system: BracketSystem) -> AxiomReport:
     images = system.pair_images
     sorted_only = system.antisymmetry_break is None
     item_of = {z: k for k, terms in enumerate(atoms) for z in terms if terms == {z: ONE}}  # the items that are atoms
-    partners: dict = {}  # atom z -> {w: terms of [z, w]} for the items w with [z, w] != 0
+    atom_rows: dict = {}  # atom z -> {w: terms of [z, w]} for the items w with [z, w] != 0
     defects: dict = {}
     for u, v, uv in ((u, v, uv) for u, row in enumerate(images) for v, uv in row.items()):
         outer: dict = {}  # w -> terms of [[u, v], w]
         for z, coeff in uv.items():
-            if z not in partners:
-                partners[z] = images[item_of[z]] if z in item_of else system.row({z: ONE})
-            for w, zw in partners[z].items():
+            if z not in atom_rows:
+                atom_rows[z] = images[item_of[z]] if z in item_of else system.row({z: ONE})
+            for w, zw in atom_rows[z].items():
                 term = outer.setdefault(w, {})
                 for k, c in zw.items():
                     add_term(term, k, coeff * c)

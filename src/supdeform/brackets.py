@@ -102,6 +102,7 @@ class FSpec:
 
 
 STANDARD_F = FSpec.kappa_family(Fraction(1, 2))
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -128,6 +129,27 @@ class DeformationSpec:
             for deg in range(n + 1)
             for ids in itertools.combinations(range(1, n + 1), deg)
         }
+
+    @cached_property
+    def phi_wedges(self) -> dict[tuple[int, ...], tuple[tuple[tuple[int, ...], Fraction], ...]]:
+        """z_U ^ phi for each of the 2^n form monomials z_U, computed once per
+        spec: U -> the pairs (U + k, +-phi_k) over the k not in U with
+        phi_k != 0, the sign that of z_U ^ z_k = +-z_{U+k}.  Empty when phi
+        is zero."""
+        n, coeffs = self.algebra.n, self.phi.coeffs
+        if not any(coeffs):
+            return {}
+        out = {}
+        for deg in range(n + 1):
+            for U in itertools.combinations(range(1, n + 1), deg):
+                wedges = []
+                for k, phi_k in enumerate(coeffs, 1):
+                    if phi_k and k not in U:
+                        pos = bisect_left(U, k)
+                        # z_k passes the len(U) - pos factors of z_U after it
+                        wedges.append((U[:pos] + (k,) + U[pos:], -phi_k if (len(U) - pos) % 2 else phi_k))
+                out[U] = tuple(wedges)
+        return out
 
     @classmethod
     def standard(cls, algebra: LieAlgebraSpec, phi: OneForm, warn: bool = True) -> "DeformationSpec":
@@ -168,39 +190,32 @@ def _require_homogeneous(alpha: GradedElement, what: str) -> int:
 
 def form_monomial_bracket(spec: DeformationSpec, I: tuple[int, ...], J: tuple[int, ...]) -> dict:
     """The terms of the configured deformed bracket [z_I, z_J] of two form
-    monomials, of degrees a and b.
+    monomials, of degrees a and b: zero unless I and J are disjoint.
 
     With z_I ^ z_J = s z_U it is (-1)^a s d(z_U), read from the spec's
     d-images (standard and naive d_t kinds only), plus
     F(a, b) t sum_k phi_k z_I ^ z_k ^ z_J, where
-    z_I ^ z_k ^ z_J = (-1)^b s z_U ^ z_k.
+    z_I ^ z_k ^ z_J = (-1)^b s z_U ^ z_k, read from the spec's phi-wedges.
     """
-    a, b = len(I), len(J)
-    # beyond a+b+1 > n the wedge vanishes and F need not be defined
-    coeff = spec.F.value(a, b) if a + b + 1 <= spec.algebra.n and not spec.phi.is_zero() else 0
     merged = _merge_tuples(I, J)
     if merged is None:
         return {}
     sign, U = merged
+    a, b = len(I), len(J)
     out: dict = {}
-    if spec.kind in (DeformationKind.STANDARD, DeformationKind.NAIVE_DT):
+    if spec.kind is not DeformationKind.TRIVIAL:
         negate = (sign < 0) != (a % 2 == 1)
         for ids, c in spec.d_monomials[U].items():
             out[ids] = -c if negate else c
-    if coeff:
-        negate = (sign < 0) != (b % 2 == 1)
-        zero = Fraction(0)
-        for k, phi_k in enumerate(spec.phi.coeffs, 1):
-            if not phi_k:
-                continue
-            pos = bisect_left(U, k)
-            if pos < len(U) and U[pos] == k:
-                continue
-            # z_k passes the len(U) - pos factors of z_U after it
-            value = coeff * phi_k
-            if negate != ((len(U) - pos) % 2 == 1):
-                value = -value
-            add_term(out, U[:pos] + (k,) + U[pos:], PolyT._wrap((zero, value)))
+    wedges = spec.phi_wedges
+    # beyond a+b+1 > n the wedge vanishes and F need not be defined
+    if wedges and a + b + 1 <= spec.algebra.n:
+        coeff = spec.F.value(a, b)
+        if coeff:
+            if (sign < 0) != (b % 2 == 1):
+                coeff = -coeff
+            for ids, phi_k in wedges[U]:
+                add_term(out, ids, PolyT._wrap((_ZERO, coeff * phi_k)))
     return out
 
 

@@ -146,24 +146,24 @@ class LieAlgebraSpec:
 
 
 def validate_jacobi(spec: LieAlgebraSpec) -> Optional[JacobiViolation]:
-    """None if the Jacobi identity holds; else the first violating triple.
+    """None if the Jacobi identity holds; else the first violating triple
+    i < j < k.
 
-    The defect is sum_cyclic [[y_i, y_j], y_k] in basis coordinates.
+    The defect is sum_cyclic [[y_i, y_j], y_k] in basis coordinates, summed
+    from the sparse brackets of basis vectors: each nonzero c^m_ij y_m of an
+    inner bracket adds c^m_ij [y_m, y_k].
     """
     n = spec.n
-    basis = [tuple(Fraction(1 if m == i else 0) for m in range(1, n + 1)) for i in range(1, n + 1)]
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for k in range(j + 1, n + 1):
-                yi, yj, yk = basis[i - 1], basis[j - 1], basis[k - 1]
-                defect = [Fraction(0)] * n
-                for a, b, c in ((yi, yj, yk), (yj, yk, yi), (yk, yi, yj)):
-                    inner = spec.bracket_coeffs(a, b)
-                    outer = spec.bracket_coeffs(inner, c)
-                    for m in range(n):
-                        defect[m] += outer[m]
-                if any(defect):
-                    return JacobiViolation((i, j, k), tuple(defect))
+                defect: dict[int, Fraction] = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, cm in spec.bracket_basis(a, b).items():
+                        for p, cp in spec.bracket_basis(m, c).items():
+                            defect[p] = defect.get(p, 0) + cm * cp
+                if any(defect.values()):
+                    return JacobiViolation((i, j, k), tuple(defect.get(p, Fraction(0)) for p in range(1, n + 1)))
     return None
 
 

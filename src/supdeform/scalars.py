@@ -287,13 +287,16 @@ def add_term(terms: dict, key, coeff) -> None:
 def bilinear(u: dict, v: dict, pair) -> dict:
     """The terms of sum_{x, y} u[x] v[y] pair(x, y), for two sparse maps u
     and v from atoms to coefficients, where pair(x, y) gives the terms of the
-    product of two atoms."""
+    product of two atoms.  A pair with no terms costs no coefficient
+    product."""
     out: dict = {}
     for x, cx in u.items():
         for y, cy in v.items():
-            c = cx * cy
-            for z, cz in pair(x, y).items():
-                add_term(out, z, c * cz)
+            terms = pair(x, y)
+            if terms:
+                c = cx * cy
+                for z, cz in terms.items():
+                    add_term(out, z, c * cz)
     return out
 
 

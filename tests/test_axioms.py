@@ -1,5 +1,6 @@
 """Axiom checkers and the F-admissibility solvers, with independent oracles."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -276,9 +277,11 @@ def test_table_contraction_matches_every_direct_defect():
 
 
 def test_bracket_table_evaluates_each_atom_pair_once():
-    """Both checkers together evaluate one atom bracket per ordered pair of
-    atoms, each once: n^2 on a passing system, 1 024 on filiform-5."""
-    for config, pairs in (("configs/heisenberg-closed.cfg", 64), ("bench/configs/filiform5-standard.cfg", 1024)):
+    """Both checkers together evaluate the atom bracket through the form
+    system's own partners: once per ordered pair of disjoint monomials and
+    never on an overlapping pair: 3^n calls, 27 on Heisenberg and 243 on
+    filiform-5, against 64 and 1 024 ordered pairs of items."""
+    for config, pairs in (("configs/heisenberg-closed.cfg", 27), ("bench/configs/filiform5-standard.cfg", 243)):
         calls = []
         base = form_system(load_config(str(ROOT / config)).deformation)
 
@@ -286,12 +289,80 @@ def test_bracket_table_evaluates_each_atom_pair_once():
             calls.append((x, y))
             return base.atom_bracket(x, y)
 
-        system = BracketSystem(base.label, base.items, counted)
+        system = dataclasses.replace(base, atom_bracket=counted)
+        assert system.partners is base.partners is not None
         assert check_supersymmetry(system).passed
         assert check_superjacobi(system).passed
         atoms = [atom for item in system.items for atom in item.element.terms]
-        assert len(calls) == len(set(calls)) == len(system.items) ** 2 == pairs
-        assert set(calls) == set(itertools.product(atoms, repeat=2))
+        disjoint = {(x, y) for x, y in itertools.product(atoms, repeat=2) if not set(x) & set(y)}
+        assert len(calls) == len(set(calls)) == len(disjoint) == pairs
+        assert set(calls) == disjoint
+
+
+def _h5():
+    return LieAlgebraSpec(5, {(1, 3, 5): 1, (2, 4, 5): 1})
+
+
+def _aff_aff():
+    return LieAlgebraSpec(4, {(1, 2, 1): 1, (3, 4, 3): 1})
+
+
+def _filiform(n):
+    return LieAlgebraSpec(n, {(1, i, i + 1): 1 for i in range(2, n)})
+
+
+def _partner_cases():
+    """(spec, extension vectors, the outcomes of the four reports), with the
+    case's name as its id."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        nonclosed = DeformationSpec.standard(_filiform(5), OneForm.dual_basis(5, 3))
+    aff_phi = OneForm.make((0, 1, 0, 1))
+    h5_phi = OneForm.dual_basis(5, 1)
+    asymmetric = {(a, b): Fraction(1) for a in range(5) for b in range(5) if a + b <= 4}
+    asymmetric[(2, 1)] = Fraction(3)
+    cases = [
+        (f"filiform{n}", DeformationSpec.standard(_filiform(n), OneForm.dual_basis(n, 2)), "pass pass pass pass")
+        for n in (4, 5, 6)
+    ]
+    cases += [
+        ("heisenberg5", DeformationSpec.standard(_h5(), h5_phi), "pass pass pass pass"),
+        ("aff+aff", DeformationSpec.standard(_aff_aff(), aff_phi), "pass pass pass pass"),
+        ("trivial-kappa", DeformationSpec.trivial(_h5(), h5_phi, FSpec.kappa_family(3)), "pass pass pass pass"),
+        ("naive-dt", DeformationSpec.naive_dt(_filiform(5), OneForm.dual_basis(5, 2)), "pass fail pass fail"),
+        ("nonclosed-phi", nonclosed, "pass fail pass fail"),
+        (
+            "asymmetric-table",
+            DeformationSpec.trivial(_h5(), h5_phi, FSpec.from_table(asymmetric), require_symmetric=False),
+            "fail pass fail fail",
+        ),
+    ]
+    out = [
+        pytest.param(spec, solve_g0_prime(spec.algebra, spec.phi).vectors, outcomes, id=name)
+        for name, spec, outcomes in cases
+    ]
+    aff = DeformationSpec.standard(_aff_aff(), aff_phi)
+    vectors = solve_g0_doubleprime(aff.algebra, aff_phi).vectors
+    assert any(sum(map(bool, v.coeffs)) > 1 for v in vectors)  # y2 - y4 is no coordinate vector
+    out.append(pytest.param(aff, vectors, "pass pass pass pass", id="aff+aff-g0doubleprime"))
+    return out
+
+
+@pytest.mark.parametrize("spec, vectors, outcomes", _partner_cases())
+def test_partner_rows_match_the_full_fill(spec, vectors, outcomes):
+    """The form and extension systems, whose rows try only the partners of
+    each item, hold the same rows and give the same four reports as the
+    same systems filled over all n^2 pairs."""
+    reports = []
+    for system in (form_system(spec), extension_system(spec, vectors)):
+        full = dataclasses.replace(system, partners=None)
+        assert system.partners is not None
+        assert system.pair_images == full.pair_images
+        for check in (check_supersymmetry, check_superjacobi):
+            report = check(system)
+            assert report.to_json() == check(full).to_json()
+            reports.append(report.outcome)
+    assert " ".join(reports) == outcomes
 
 
 @pytest.mark.parametrize("name", SHIPPED + ["filiform5"])

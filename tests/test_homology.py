@@ -907,6 +907,42 @@ def test_filiform8_g0p_axioms_report_pinned(tmp_path, capsys):
     )
 
 
+FILIFORM9_G0P = """
+[algebra]
+dim = 9
+bracket 1 2 -> 3 : 1
+bracket 1 3 -> 4 : 1
+bracket 1 4 -> 5 : 1
+bracket 1 5 -> 6 : 1
+bracket 1 6 -> 7 : 1
+bracket 1 7 -> 8 : 1
+bracket 1 8 -> 9 : 1
+
+[phi]
+coeffs = 0 1 0 0 0 0 0 0 0
+
+[deformation]
+kind = standard
+
+[extension]
+subalgebra = g0prime
+"""
+
+
+def test_filiform9_g0p_axioms_report_pinned(tmp_path, capsys):
+    """Both axioms pass on the forms and on h (+) g0' of filiform-9: 521
+    items, whose form rows try only the 3^9 disjoint pairs, and
+    141 420 761 triples counted."""
+    path = tmp_path / "filiform9-g0prime.cfg"
+    path.write_text(FILIFORM9_G0P)
+    assert main(["axioms", "--config", str(path), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert '"checked": 141420761' in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9a7a48fe966a627ae301b4da7911fffe904c4e103b7cbcb2ba6721df0bcc18df"
+    )
+
+
 def _reference_bracket(system, g1, g2):
     """Reference: [g1, g2] in chain generators over Q[t], a list of
     (generator, PolyT) read straight from the bilinear bracket ``image``."""

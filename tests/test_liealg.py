@@ -1,6 +1,10 @@
 """Ground data: Jacobi validation, the CE differential, closedness of phi."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supdeform.exterior import FORM, GradedElement, ce_differential, d, is_closed
 from supdeform.liealg import (
@@ -27,6 +31,59 @@ def test_jacobi_violation_detected():
     assert violation.triple == (1, 2, 3)
     # sum of cyclic double brackets is [[y3,y1],y2] = [y1,y2] = y3
     assert violation.defect == (0, 0, 1)
+
+
+def _dense_validate_jacobi(spec):
+    """The dense reference: every cyclic double bracket of basis vectors as
+    a full coordinate vector of ``bracket_coeffs``."""
+    n = spec.n
+    basis = [tuple(Fraction(1 if m == i else 0) for m in range(1, n + 1)) for i in range(1, n + 1)]
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for k in range(j + 1, n + 1):
+                yi, yj, yk = basis[i - 1], basis[j - 1], basis[k - 1]
+                defect = [Fraction(0)] * n
+                for a, b, c in ((yi, yj, yk), (yj, yk, yi), (yk, yi, yj)):
+                    outer = spec.bracket_coeffs(spec.bracket_coeffs(a, b), c)
+                    for m in range(n):
+                        defect[m] += outer[m]
+                if any(defect):
+                    return (i, j, k), tuple(defect)
+    return None
+
+
+@st.composite
+def _structure_constants(draw):
+    """Random constants c^k_ij on i < j, most of them zero: some satisfy
+    Jacobi (few brackets, or brackets landing outside the others' span), many
+    do not."""
+    n = draw(st.integers(1, 6))
+    values = st.sampled_from([Fraction(0)] * 6 + [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 2), Fraction(2)])
+    return n, {(i, j, k): draw(values) for i in range(1, n + 1) for j in range(i + 1, n + 1) for k in range(1, n + 1)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_structure_constants())
+def test_sparse_jacobi_matches_dense_reference(case):
+    """The first violating triple and its dense defect equal the dense
+    reference's, and None where it finds none."""
+    n, structure = case
+    spec = LieAlgebraSpec(n, structure)
+    violation = validate_jacobi(spec)
+    expected = _dense_validate_jacobi(spec)
+    assert (violation and (violation.triple, violation.defect)) == expected
+    if violation:
+        assert len(violation.defect) == n and all(isinstance(c, Fraction) for c in violation.defect)
+
+
+def test_sparse_jacobi_examples_both_ways():
+    """The oracle comparison above meets both answers."""
+    good = LieAlgebraSpec(5, {(1, i, i + 1): 1 for i in range(2, 5)})
+    bad = LieAlgebraSpec(4, {(1, 2, 3): 1, (1, 3, 4): 1, (2, 4, 1): 1})
+    assert validate_jacobi(good) is None is _dense_validate_jacobi(good)
+    violation = validate_jacobi(bad)
+    assert violation is not None
+    assert (violation.triple, violation.defect) == _dense_validate_jacobi(bad)
 
 
 def test_ce_differential_two_dim():
