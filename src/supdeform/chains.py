@@ -9,6 +9,12 @@ and item order is the canonical word order.  The chain algebra is free
 super-commutative on that set with the chain parity convention: generators
 of even super degree anticommute (no repeats), generators of odd super
 degree commute (repeats allowed).
+
+The generator brackets are the extension system's pair table, its nonzero
+pairs only, re-expressed once in chain generators over one denominator for
+the whole complex (``ChainComplexSystem.pairs`` and ``den``); the boundary
+of a word is then integer over that denominator, and every boundary matrix
+shares it as its scale.
 """
 
 from __future__ import annotations
@@ -81,9 +87,13 @@ class ChainElement(Terms):
 class ChainComplexSystem:
     """Generators, their bracket, and the boundary for one deformation.
 
-    ``brackets`` is the extension system whose items are the generators;
-    its bilinear ``image`` gives each generator bracket, which the
-    generator-pair memo here holds once evaluated.  ``degree[g]`` and
+    ``brackets`` is the extension system whose items are the generators,
+    and its pair table ``pair_images`` is the one bracket store: ``pairs``
+    re-expresses it once in chain generators, over one integer ``den`` for
+    the whole complex.  ``pairs[g1]`` maps each g2 with [g1, g2] != 0 to
+    ((generator, numerators), ...), the coefficient of each generator its
+    integer coefficient tuple over ``den``, the lcm of every denominator in
+    the table; a missing pair has bracket zero.  ``degree[g]`` and
     ``parity[g]`` are item g's super degree and its parity.
     """
 
@@ -101,7 +111,13 @@ class ChainComplexSystem:
         # form item g holds the single atom (its index tuple) with coefficient 1
         self.form_index = {ids: g for g, item in enumerate(items[nvec:], nvec) for ids in item.element.terms}
         self._span_rows = [list(v.coeffs) for v in self.vector_basis]
-        self._bracket_cache: dict[tuple[int, int], tuple] = {}
+        rows = [{g2: self._expand(value) for g2, value in row.items()} for row in self.brackets.pair_images]
+        den = self.den = lcm(*(c.denominator for row in rows for out in row.values() for _, p in out for c in p.coeffs))
+
+        def numerators(p: PolyT) -> tuple[int, ...]:
+            return tuple(c.numerator * (den // c.denominator) for c in p.coeffs)
+
+        self.pairs = [{g2: tuple((gen, numerators(p)) for gen, p in out) for g2, out in row.items()} for row in rows]
 
     def word_label(self, word: SuperWord) -> str:
         items = self.brackets.items
@@ -111,32 +127,17 @@ class ChainComplexSystem:
 
     def bracket_generators(self, g1: int, g2: int):
         """[g1, g2] expanded in chain generators: tuple of (generator, PolyT)."""
-        d, values = self._bracket_numerators(g1, g2)
-        return tuple((gen, PolyT._wrap(tuple(Fraction(x, d) for x in nums))) for gen, nums in values)
+        den = self.den
+        return tuple((gen, PolyT._wrap(tuple(Fraction(x, den) for x in nums))) for gen, nums in self.pairs[g1].get(g2, ()))
 
-    def _bracket_numerators(self, g1: int, g2: int):
-        """[g1, g2] as (d, ((generator, numerators), ...)): the coefficient of
-        each generator is its integer coefficient tuple over d, the lcm of
-        the bracket's denominators.  Memoized per pair, filled on first use."""
-        cached = self._bracket_cache.get((g1, g2))
-        if cached is not None:
-            return cached
-        items = self.brackets.items
-        value = self.brackets.image(items[g1].element.terms, items[g2].element.terms)
+    def _expand(self, value: dict) -> list[tuple[int, PolyT]]:
+        """A bracket value of h (+) g0 in chain generators: each form atom is
+        its own generator, and the vector part, with Q[t] coordinates, is
+        re-expressed in the chosen basis."""
         out = [(self.form_index[ids], coeff) for ids, coeff in value.items() if isinstance(ids, tuple)]
         coords = [value.get(i, ZERO) for i in range(1, self.spec.algebra.n + 1)]
-        if any(coords):
-            out.extend(self._vector_to_generators(coords))
-        d = lcm(*(c.denominator for _, coeff in out for c in coeff.coeffs))
-        numerators = tuple((gen, tuple(c.numerator * (d // c.denominator) for c in coeff.coeffs)) for gen, coeff in out)
-        result = (d, numerators)
-        self._bracket_cache[(g1, g2)] = result
-        return result
-
-    def _vector_to_generators(self, coords: list[PolyT]):
-        """Re-express a g-vector with Q[t] coordinates in the chosen basis."""
         degree = max((c.degree for c in coords), default=-1)
-        out: dict[int, list] = {}
+        vector: dict[int, list] = {}
         for k in range(degree + 1):
             component = [c.coeffs[k] if k <= c.degree else Fraction(0) for c in coords]
             if not any(component):
@@ -146,8 +147,9 @@ class ChainComplexSystem:
                 raise ValueError("bracket value leaves the chosen vector subalgebra")
             for pos, coeff in enumerate(sol):
                 if coeff:
-                    out.setdefault(pos, [Fraction(0)] * (degree + 1))[k] = coeff
-        return [(pos, PolyT(cs)) for pos, cs in sorted(out.items())]
+                    vector.setdefault(pos, [Fraction(0)] * (degree + 1))[k] = coeff
+        out.extend((pos, PolyT(cs)) for pos, cs in sorted(vector.items()))
+        return out
 
     # -- chain bases ----------------------------------------------------------
 
@@ -202,16 +204,14 @@ class ChainComplexSystem:
         d(Y_1 A ... A Y_m) = sum_{i<j} (-1)^(i-1 + y_i * sum_{i<s<j} y_s)
                              Y_1 A ... ^Y_i ... A [Y_i,Y_j]@j A ... A Y_m
         """
-        den, terms = self._boundary_terms(word)
+        den = self.den
         return ChainElement.zero().like(
-            {canon: PolyT._wrap(tuple(Fraction(x, den) for x in nums)) for canon, nums in terms.items()}
+            {canon: PolyT._wrap(tuple(Fraction(x, den) for x in nums)) for canon, nums in self._boundary_terms(word).items()}
         )
 
-    def _boundary_terms(self, word: SuperWord) -> tuple[int, dict[SuperWord, tuple]]:
-        """(den, terms): the boundary of one word (see ``boundary_word``) is
-        sum terms[canon] / den * canon, each terms[canon] a nonzero integer
-        coefficient tuple and den the lcm of the denominators of the
-        generator pairs met in the word.
+    def _boundary_terms(self, word: SuperWord) -> dict[SuperWord, tuple]:
+        """The boundary of one word (see ``boundary_word``) times ``den``:
+        canonical word -> its nonzero integer coefficient tuple.
 
         Without Y_i and Y_j the word stays canonical, so each generator of
         [Y_i, Y_j] is placed into that rest by bisection where the insertion
@@ -221,30 +221,22 @@ class ChainComplexSystem:
         the word's parities, and an even generator gives zero exactly when a
         neighbour equals it.  ``normalize`` is the oracle the tests compare
         these placements with."""
-        parity = self.parity
-        memo = self._bracket_cache
+        parity, pairs = self.parity, self.pairs
         m = len(word)
         odd = [0]  # odd[k]: the odd generators among word[:k]
         for g in word:
             odd.append(odd[-1] + parity[g])
-        den = 1
         terms: dict[SuperWord, tuple] = {}
         for i in range(m):
             gi = word[i]
+            row = pairs[gi]
             par_i = parity[gi]
             for j in range(i + 1, m):
-                pair = memo.get((gi, word[j]))
-                d, values = pair if pair is not None else self._bracket_numerators(gi, word[j])
-                if not values:
+                values = row.get(word[j])
+                if values is None:
                     continue
-                if den % d:  # a new denominator: bring the terms so far over the lcm
-                    grown = lcm(den, d)
-                    up = grown // den
-                    terms = {canon: tuple(up * x for x in nums) for canon, nums in terms.items()}
-                    den = grown
                 # (-1)^(i-1 + y_i * between) with 1-based i is (-1)^(i + ...) with 0-based i
                 sgn = i + (odd[j] - odd[i + 1] if par_i else 0)
-                factor = den // d
                 rest = word[:i] + word[i + 1 : j] + word[j + 1 :]
                 left = j - 1  # rest[:left] stood before Y_j, rest[left:] after it
                 for gen, nums in values:
@@ -260,9 +252,8 @@ class ChainComplexSystem:
                         flips -= odd_passed  # odd past odd commutes
                     elif (k and rest[k - 1] == gen) or (k < m - 2 and rest[k] == gen):
                         continue
-                    f = -factor if (sgn + flips) % 2 else factor
-                    _zadd_term(terms, rest[:k] + (gen,) + rest[k:], nums if f == 1 else tuple(f * x for x in nums))
-        return den, terms
+                    _zadd_term(terms, rest[:k] + (gen,) + rest[k:], tuple(-x for x in nums) if (sgn + flips) % 2 else nums)
+        return terms
 
     def boundary(self, element: ChainElement) -> ChainElement:
         out = ChainElement.zero()

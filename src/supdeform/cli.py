@@ -49,18 +49,6 @@ def _emit(payload: dict, fmt: str, text_pieces):
     write("\n")
 
 
-def _json_text(value) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
-    dicts with str keys, lists, tuples, scalars and ``_BoundaryRows`` (as
-    the lists of lists of str they stand for): the pieces of
-    ``_write_json`` joined in memory.  With ``indent`` set, ``json.dumps``
-    runs its pure-Python encoder on every entry; this writer encodes the
-    items of a list of str in one ``map``."""
-    out: list[str] = []
-    _write_json(value, "", out.append)
-    return "".join(out)
-
-
 def _write_json(value, indent: str, write):
     """Pass the pieces of ``value`` rendered at this indent to write."""
     if isinstance(value, dict):

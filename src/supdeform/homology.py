@@ -1,12 +1,12 @@
 """Boundary matrices over Z[t], parametric ranks, and piecewise Betti numbers.
 
-A boundary matrix is held over Z[t], one scale per matrix: sparse columns,
-row index -> nonzero integer coefficient tuple, over one positive integer
-scale, filled straight from the integer boundary of each word
+A boundary matrix is held over Z[t], one scale per complex: sparse columns,
+row index -> nonzero integer coefficient tuple, over the system's positive
+integer ``den``, filled straight from the integer boundary of each word
 (``ChainComplexSystem._boundary_terms``); only the small residual S below
 is stored dense, still over Z[t].  d.d = 0 is checked exactly on the integer
 columns: the product of two of them is the product of the matrices times
-the two scales, which are nonzero.  Each matrix is then reduced by its unit
+den^2, which is nonzero.  Each matrix is then reduced by its unit
 pivots (``_cancel_units``): while some entry is a nonzero constant a, the
 one of least Markowitz cost clears its column, each cleared row first
 multiplied by a unless a = +-1, so the rows stay over Z[t]; its row and
@@ -57,8 +57,8 @@ class BoundaryMatrix:
     Z[t] with one scale: the matrix is columns / scale, where columns[c]
     maps each row index r to the integer coefficient tuple (ascending in t,
     no trailing zeros) of rows[r] in scale * d(cols[c]); no column holds a
-    zero entry, and scale is the lcm of the denominators of the generator
-    pairs met in the column words."""
+    zero entry, and scale is the system's ``den``, shared by every matrix
+    of the complex."""
 
     m: int
     w: int
@@ -86,20 +86,11 @@ def boundary_matrix(system: ChainComplexSystem, m: int, w: int) -> BoundaryMatri
     cols = system.enumerate_basis(m, w)
     rows = system.enumerate_basis(m - 1, w) if m >= 2 else []
     row_index = {word: i for i, word in enumerate(rows)}
-    dens, columns = [], []
-    for word in cols:
-        den, terms = system._boundary_terms(word)
-        try:
-            columns.append({row_index[target]: nums for target, nums in terms.items()})
-        except KeyError:
-            raise RuntimeError("boundary image left the expected weight space") from None
-        dens.append(den)
-    scale = lcm(*dens)
-    for c, den in enumerate(dens):
-        if den != scale:
-            up = scale // den
-            columns[c] = {r: tuple(up * x for x in e) for r, e in columns[c].items()}
-    return BoundaryMatrix(m, w, rows, cols, columns, scale)
+    try:
+        columns = [{row_index[target]: nums for target, nums in system._boundary_terms(word).items()} for word in cols]
+    except KeyError:
+        raise RuntimeError("boundary image left the expected weight space") from None
+    return BoundaryMatrix(m, w, rows, cols, columns, system.den)
 
 
 def _integer_columns(entries: list[list[PolyT]]) -> list[dict[int, tuple[int, ...]]]:
@@ -385,8 +376,9 @@ def _ranks_and_locus(
 
 
 def special_locus(system: ChainComplexSystem, w: int) -> list[PolyT]:
-    """The conditions where some boundary rank of the weight-w complex drops."""
-    return [cond for cond, _ in _ranks_and_locus([M.columns for M in boundary_matrices(system, w)])[1]]
+    """The conditions where some boundary rank of the weight-w complex drops:
+    the locus of its Betti report, so d.d = 0 is checked first."""
+    return betti_piecewise(system, w).locus
 
 
 @dataclass

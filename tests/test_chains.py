@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from supdeform.brackets import DeformationSpec, SuperElement, extension_bracket
 from supdeform.chains import ChainComplexSystem, ChainElement, normalize
 from supdeform.config import load_config
 from supdeform.exterior import FORM, GradedElement, lie_derivative
+from supdeform.homology import boundary_matrices
 from supdeform.liealg import OneForm, VectorField, heisenberg3, solvable2
 from supdeform.scalars import ZERO, _zadd_term, poly
 
@@ -100,10 +102,7 @@ class _OnePairSystem(ChainComplexSystem):
 
     def __init__(self, parity, a, b, gen):
         self.parity = list(parity)
-        self._bracket_cache = {(a, b): (1, ((gen, (1,)),))}
-
-    def _bracket_numerators(self, g1, g2):
-        return self._bracket_cache.get((g1, g2), (1, ()))
+        self.pairs = [{b: ((gen, (1,)),)} if g == a else {} for g in range(len(parity))]
 
 
 @st.composite
@@ -141,7 +140,7 @@ def test_boundary_insertion_matches_normalize(case):
             if norm is not None:
                 between = sum(parity[g] for g in word[p + 1 : q]) if parity[a] else 0
                 _zadd_term(expected, norm[1], (norm[0] * (-1) ** (p + between),))
-        assert _OnePairSystem(parity, a, b, gen)._boundary_terms(word) == (1, expected)
+        assert _OnePairSystem(parity, a, b, gen)._boundary_terms(word) == expected
 
 
 class TestEnumerateBasis:
@@ -361,6 +360,13 @@ class TestVectorReexpression:
         values = dict(system.bracket_generators(0, 1))
         assert {system.word_label((g,)) for g in values} == {"y3"}
 
+    def test_bracket_leaving_the_basis_fails_when_built(self):
+        # [y1, y2] = y3 is not in the span of y1 and y2; the whole pair table
+        # is read when the system is built, so the error comes from there
+        spec = DeformationSpec.standard(heisenberg3(), OneForm.dual_basis(3, 1))
+        with pytest.raises(ValueError, match="leaves the chosen vector subalgebra"):
+            ChainComplexSystem(spec, vectors=[VectorField((1, 0, 0)), VectorField((0, 1, 0))])
+
     def test_generator_ordering_vectors_before_forms(self, sys_ext):
         nvec = len(sys_ext.vector_basis)
         assert sys_ext.degree[:nvec] == [0] * nvec
@@ -398,3 +404,23 @@ def test_bracket_generators_match_extension_bracket(system):
                 (x, beta), sign = ((g1, v), 1) if g1 < nvec else ((g2, u), -1)
                 lie = lie_derivative(algebra, system.vector_basis[x], GradedElement(FORM, n, beta.terms))
                 assert total == SuperElement.from_form(lie).scale(sign)
+
+
+@pytest.mark.parametrize("system", list(_bracket_systems()), ids=["dim2-extended", "aff1-aff1-g0prime", "heis-span2", "heis-span3"])
+def test_pairs_hold_the_nonzero_brackets_over_one_den(system):
+    """``pairs[g1]`` holds exactly the g2 with a nonzero extension_bracket,
+    ``den`` is the lcm of the denominators of those brackets in chain
+    generators, and every boundary matrix of the complex has scale den."""
+    elements = [item.element for item in system.brackets.items]
+    dens = []
+    for g1, u in enumerate(elements):
+        nonzero = {}
+        for g2, v in enumerate(elements):
+            value = extension_bracket(system.spec, u, v)
+            if value.terms:
+                nonzero[g2] = value
+        assert set(system.pairs[g1]) == set(nonzero)
+        dens += [c.denominator for value in nonzero.values() for _, p in system._expand(value.terms) for c in p.coeffs]
+    assert system.den == lcm(*dens)
+    for w in (-2, -3):
+        assert {M.scale for M in boundary_matrices(system, w)} == {system.den}

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from supdeform import homology
 from supdeform.brackets import DeformationKind
 from supdeform.chains import ChainComplexSystem
-from supdeform.cli import main
+from supdeform.cli import _write_json, main
 from supdeform.config import ConfigError, load_config
 from supdeform.scalars import format_over
 
@@ -419,17 +419,20 @@ _json_values = st.recursive(
 )
 
 
+def _json_text(value) -> str:
+    """The pieces ``_write_json`` writes for value, joined."""
+    out: list[str] = []
+    _write_json(value, "", out.append)
+    return "".join(out)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_json_values)
 def test_json_writer_matches_json_dumps(value):
-    from supdeform.cli import _json_text
-
     assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 def test_json_writer_rejects_non_str_keys():
-    from supdeform.cli import _json_text
-
     with pytest.raises(TypeError):
         _json_text({1: "a"})
 
@@ -510,7 +513,7 @@ def test_every_json_report_is_json_dumps_of_its_payload(monkeypatch):
         expected = payloads[0]
         if argv[0] == "chain":
             expected = _reference_chain_payload(argv[2], [int(argv[-1])] if "--weight" in argv else None)
-            assert cli._json_text(payloads[0]) == json.dumps(expected, indent=2, sort_keys=True), argv
+            assert _json_text(payloads[0]) == json.dumps(expected, indent=2, sort_keys=True), argv
             assert _run_in_process([*argv, "--format", "text"]) == (0, _reference_chain_text(expected)), argv
         assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n", argv
         reported += 1

@@ -4,7 +4,6 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from pathlib import Path
 
 import pytest
@@ -34,7 +33,7 @@ from supdeform.homology import (
     special_locus,
     special_locus_for_matrix,
 )
-from supdeform.liealg import OneForm, solvable2
+from supdeform.liealg import OneForm, VectorField, heisenberg3, solvable2
 from supdeform.scalars import ONE, PolyT, T, ZERO, add_term, irreducible_factors, poly, poly_gcd, poly_xgcd
 
 AFF_G0P = str(Path(__file__).resolve().parent.parent / "bench" / "configs" / "aff1-aff1-g0prime.cfg")
@@ -118,6 +117,16 @@ def test_special_locus_trivial():
 def test_special_locus_undeformed():
     system = ChainComplexSystem(DeformationSpec.undeformed(ALG2), "none")
     assert special_locus(system, -3) == []
+
+
+@pytest.mark.filterwarnings("ignore:phi is not closed")
+def test_special_locus_checks_the_complex_first():
+    """phi = z3 is not closed on the Heisenberg algebra, so d.d != 0 at
+    w = -3: the locus is that of a Betti report, which is refused there."""
+    config = load_config(str(Path(__file__).resolve().parent.parent / "configs" / "heisenberg-nonclosed.cfg"))
+    system = ChainComplexSystem(config.deformation, config.extension)
+    with pytest.raises(RuntimeError, match=r"d\.d != 0"):
+        special_locus(system, -3)
 
 
 def _minors_locus(entries):
@@ -947,12 +956,7 @@ def _reference_bracket(system, g1, g2):
     """Reference: [g1, g2] in chain generators over Q[t], a list of
     (generator, PolyT) read straight from the bilinear bracket ``image``."""
     items = system.brackets.items
-    value = system.brackets.image(items[g1].element.terms, items[g2].element.terms)
-    out = [(system.form_index[ids], coeff) for ids, coeff in value.items() if isinstance(ids, tuple)]
-    coords = [value.get(i, ZERO) for i in range(1, system.spec.algebra.n + 1)]
-    if any(coords):
-        out.extend(system._vector_to_generators(coords))
-    return out
+    return system._expand(system.brackets.image(items[g1].element.terms, items[g2].element.terms))
 
 
 def _reference_boundary_word(system, word):
@@ -986,8 +990,10 @@ def _dense_boundary(system, m, w):
 
 
 def _shipped_complexes():
-    """(system, weight) of every shipped config at its weights and of
-    aff(1)+aff(1) + g0' at w = -4 and -5."""
+    """(system, weight) of every shipped config at its weights, of
+    aff(1)+aff(1) + g0' at w = -4 and -5, of the Heisenberg trivial-kappa
+    bench config at w = -5 (den 3), and of the Heisenberg algebra extended
+    by two non-coordinate vector bases at w = -3."""
     root = Path(__file__).resolve().parent.parent
     for path in sorted((root / "configs").glob("*.cfg")):
         config = load_config(str(path))
@@ -998,13 +1004,18 @@ def _shipped_complexes():
     system = ChainComplexSystem(config.deformation, config.extension)
     yield system, -4
     yield system, -5
+    config = load_config(str(root / "bench" / "configs" / "heisenberg-trivial-kappa.cfg"))
+    yield ChainComplexSystem(config.deformation, config.extension), -5
+    spec = DeformationSpec.standard(heisenberg3(), OneForm.dual_basis(3, 1))
+    for vectors in [((1, 1, 0), (0, 0, 1)), ((1, 1, 0), (0, 1, 0), (1, 0, 1))]:
+        yield ChainComplexSystem(spec, vectors=[VectorField(v) for v in vectors]), -3
 
 
 @pytest.mark.filterwarnings("ignore:phi is not closed")
 def test_sparse_assembly_matches_dense_reference(tmp_path):
     """Every column over the matrix's scale is the boundary that the pair
     loop gives over Q[t]; entries are nonzero integer tuples without trailing
-    zeros, and the scale is the lcm of the denominators of the column words."""
+    zeros, and the scale is the system's den."""
     path = tmp_path / "filiform6-g0prime.cfg"
     path.write_text(FILIFORM6_G0P)
     config = load_config(str(path))
@@ -1016,7 +1027,7 @@ def test_sparse_assembly_matches_dense_reference(tmp_path):
             dense = _dense_boundary(system, M.m, w)
             assert len(M.columns) == len(M.cols)
             assert all(_is_integer_tuple(e) for column in M.columns for e in column.values())
-            assert M.scale == lcm(*(system._boundary_terms(word)[0] for word in M.cols))
+            assert M.scale == system.den
             rational = [{r: PolyT([Fraction(x, M.scale) for x in e]) for r, e in column.items()} for column in M.columns]
             assert rational == [
                 {r: row[c] for r, row in enumerate(dense) if not row[c].is_zero()} for c in range(len(M.cols))
@@ -1024,5 +1035,7 @@ def test_sparse_assembly_matches_dense_reference(tmp_path):
             assert M.entries == dense
             scales.add(M.scale)
             checked += 1
-    assert checked == 47  # 38 matrices from the configs and aff(1)+aff(1), 9 from filiform-6
-    assert scales > {1}
+    # 38 matrices from the configs and aff(1)+aff(1), 5 from trivial-kappa,
+    # 5 and 6 from the two vector bases, 9 from filiform-6
+    assert checked == 63
+    assert scales == {1, 2, 3}
