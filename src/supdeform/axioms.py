@@ -25,7 +25,6 @@ first failure is always sorted (see ``check_supersymmetry`` and
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
@@ -39,7 +38,7 @@ from .brackets import (
     form_monomial_bracket,
     multivector_monomial_bracket,
 )
-from .exterior import FORM, MULTIVECTOR, GradedElement, d, monomial_label
+from .exterior import FORM, MULTIVECTOR, GradedElement, d, monomial_label, monomials
 from .liealg import LieAlgebraSpec, OneForm
 from .scalars import ONE, add_term, bilinear, rat
 
@@ -119,24 +118,17 @@ class BracketSystem:
         return next((pair for pair in pairs if self.antisymmetry_defect(*pair)), None)
 
 
-def _form_monomials(n: int) -> list[tuple[int, ...]]:
-    out = []
-    for deg in range(0, n + 1):
-        out.extend(itertools.combinations(range(1, n + 1), deg))
-    return out
-
-
 def _disjoint_partners(n: int, offset: int) -> dict[tuple[int, ...], list[int]]:
     """For each form monomial z_I, the positions of the monomials z_J with
     I and J disjoint, in increasing order, when the 2^n monomials are items
-    offset, offset + 1, ... in the order of ``_form_monomials``.  Those J are
-    the submasks of the complement of I: 3^n pairs in all."""
-    monomials = _form_monomials(n)
-    masks = [sum(1 << (i - 1) for i in ids) for ids in monomials]
+    offset, offset + 1, ... in the order of ``exterior.monomials``.  Those J
+    are the submasks of the complement of I: 3^n pairs in all."""
+    basis = monomials(n)
+    masks = [sum(1 << (i - 1) for i in ids) for ids in basis]
     position = {mask: offset + pos for pos, mask in enumerate(masks)}
     full = (1 << n) - 1
     out = {}
-    for ids, mask in zip(monomials, masks):
+    for ids, mask in zip(basis, masks):
         rest = full ^ mask
         found, sub = [], rest
         while True:
@@ -165,7 +157,7 @@ def form_system(spec: DeformationSpec) -> BracketSystem:
     n = spec.algebra.n
     items = [
         BasisItem(monomial_label(FORM, ids), GradedElement.monomial(FORM, n, ids), -len(ids) - 1)
-        for ids in _form_monomials(n)
+        for ids in monomials(n)
     ]
     partners = partial(_form_partners, _disjoint_partners(n, 0), range(len(items)))
     return BracketSystem(f"forms[{spec.describe()}]", items, partial(form_monomial_bracket, spec), partners)
@@ -178,7 +170,7 @@ def multivector_system(spec: LieAlgebraSpec, phi: OneForm) -> BracketSystem:
     n = spec.n
     items = [
         BasisItem(monomial_label(MULTIVECTOR, ids), GradedElement.monomial(MULTIVECTOR, n, ids), len(ids) - 1)
-        for ids in _form_monomials(n)[1:]
+        for ids in monomials(n)[1:]
     ]
     return BracketSystem("multivectors[deformed Schouten]", items, partial(multivector_monomial_bracket, spec, phi))
 
@@ -193,7 +185,7 @@ def extension_system(spec: DeformationSpec, vectors) -> BracketSystem:
             f"x{pos + 1}",
         )
         items.append(BasisItem(label, SuperElement.from_vector(v), 0))
-    for ids in _form_monomials(n):
+    for ids in monomials(n):
         items.append(BasisItem(monomial_label(FORM, ids), SuperElement(n, {ids: ONE}), -len(ids) - 1))
     # a form atom tries every vector item and the form items disjoint from it
     m = len(vectors)

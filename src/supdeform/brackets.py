@@ -14,7 +14,6 @@ extension of the form brackets by vectors acting through the Lie derivative.
 from __future__ import annotations
 
 import enum
-import itertools
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -30,6 +29,7 @@ from .exterior import (
     d,
     is_closed,
     monomial_key,
+    monomials,
 )
 from .liealg import LieAlgebraSpec, OneForm, VectorField
 from .scalars import PolyT, T, Terms, _as_poly, add_term, bilinear, rat
@@ -124,11 +124,7 @@ class DeformationSpec:
         """The terms of d(z_I) for each of the 2^n form monomials z_I,
         computed once per spec."""
         n = self.algebra.n
-        return {
-            ids: d(self.algebra, GradedElement.monomial(FORM, n, ids)).terms
-            for deg in range(n + 1)
-            for ids in itertools.combinations(range(1, n + 1), deg)
-        }
+        return {ids: d(self.algebra, GradedElement.monomial(FORM, n, ids)).terms for ids in monomials(n)}
 
     @cached_property
     def phi_wedges(self) -> dict[tuple[int, ...], tuple[tuple[tuple[int, ...], Fraction], ...]]:
@@ -140,15 +136,14 @@ class DeformationSpec:
         if not any(coeffs):
             return {}
         out = {}
-        for deg in range(n + 1):
-            for U in itertools.combinations(range(1, n + 1), deg):
-                wedges = []
-                for k, phi_k in enumerate(coeffs, 1):
-                    if phi_k and k not in U:
-                        pos = bisect_left(U, k)
-                        # z_k passes the len(U) - pos factors of z_U after it
-                        wedges.append((U[:pos] + (k,) + U[pos:], -phi_k if (len(U) - pos) % 2 else phi_k))
-                out[U] = tuple(wedges)
+        for U in monomials(n):
+            wedges = []
+            for k, phi_k in enumerate(coeffs, 1):
+                if phi_k and k not in U:
+                    pos = bisect_left(U, k)
+                    # z_k passes the len(U) - pos factors of z_U after it
+                    wedges.append((U[:pos] + (k,) + U[pos:], -phi_k if (len(U) - pos) % 2 else phi_k))
+            out[U] = tuple(wedges)
         return out
 
     @classmethod

@@ -8,7 +8,9 @@ re-identified with longer words).  Generator g is the int index of item g,
 and item order is the canonical word order.  The chain algebra is free
 super-commutative on that set with the chain parity convention: generators
 of even super degree anticommute (no repeats), generators of odd super
-degree commute (repeats allowed).
+degree commute (repeats allowed).  The canonical words of one weight, of
+every length, come from one depth-first walk (``ChainComplexSystem.words``),
+and every boundary matrix of that weight takes its bases from that list.
 
 The generator brackets are the extension system's pair table, its nonzero
 pairs only, re-expressed once in chain generators over one denominator for
@@ -132,23 +134,20 @@ class ChainComplexSystem:
 
     def _expand(self, value: dict) -> list[tuple[int, PolyT]]:
         """A bracket value of h (+) g0 in chain generators: each form atom is
-        its own generator, and the vector part, with Q[t] coordinates, is
-        re-expressed in the chosen basis."""
-        out = [(self.form_index[ids], coeff) for ids, coeff in value.items() if isinstance(ids, tuple)]
-        coords = [value.get(i, ZERO) for i in range(1, self.spec.algebra.n + 1)]
-        degree = max((c.degree for c in coords), default=-1)
-        vector: dict[int, list] = {}
-        for k in range(degree + 1):
-            component = [c.coeffs[k] if k <= c.degree else Fraction(0) for c in coords]
-            if not any(component):
-                continue
-            sol = qlinalg.solve_in_span(self._span_rows, component)
+        its own generator, and the vector part is re-expressed in the chosen
+        basis.  Only a vector x vector pair has a vector part, from the
+        rational structure constants, so each coordinate is one constant."""
+        out, vector = [], [Fraction(0)] * self.spec.algebra.n
+        for atom, coeff in value.items():
+            if isinstance(atom, tuple):
+                out.append((self.form_index[atom], coeff))
+            else:
+                (vector[atom - 1],) = coeff.coeffs  # a coordinate that depends on t fails here
+        if any(vector):
+            sol = qlinalg.solve_in_span(self._span_rows, vector)
             if sol is None:
                 raise ValueError("bracket value leaves the chosen vector subalgebra")
-            for pos, coeff in enumerate(sol):
-                if coeff:
-                    vector.setdefault(pos, [Fraction(0)] * (degree + 1))[k] = coeff
-        out.extend((pos, PolyT(cs)) for pos, cs in sorted(vector.items()))
+            out.extend((pos, PolyT.const(c)) for pos, c in enumerate(sol) if c)
         return out
 
     # -- chain bases ----------------------------------------------------------
@@ -157,44 +156,38 @@ class ChainComplexSystem:
         """Words of weight w cannot be longer than |w| + dim(vector basis)."""
         return max(0, -w) + len(self.vector_basis)
 
-    def enumerate_basis(self, m: int, w: int) -> list[SuperWord]:
-        """All canonical super words of length m and weight w, in word order."""
-        if m < 1:
-            raise ValueError("chain degree m must be >= 1")
+    def words(self, w: int) -> list[list[SuperWord]]:
+        """The canonical super words of weight w by length (entry m: length
+        m, for m = 0 .. ``max_length(w)``), in word order.  One depth-first
+        walk, children in increasing order, records each word of weight w
+        and goes on, as a vector of degree 0 can still follow; it steps to g
+        after an odd generator and to g + 1 after an even one.  Degrees never
+        increase along the items (vectors 0, then forms -1, -2, ...), so the
+        first generator that takes the weight below w ends the loop."""
         degs, parity = self.degree, self.parity
-        count = len(degs)
-        suffix_min = [0] * (count + 1)
-        suffix_max = [0] * (count + 1)
-        for i in range(count - 1, -1, -1):
-            suffix_min[i] = min(degs[i], suffix_min[i + 1] if i + 1 < count else degs[i])
-            suffix_max[i] = max(degs[i], suffix_max[i + 1] if i + 1 < count else degs[i])
-        out: list[SuperWord] = []
+        out: list[list[SuperWord]] = [[] for _ in range(self.max_length(w) + 1)]
         acc: list[int] = []
 
         def rec(start: int, weight: int):
-            length = len(acc)
-            if length == m:
-                if weight == w:
-                    out.append(tuple(acc))
-                return
-            if start >= count:
-                return
-            remaining = m - length
-            if weight + remaining * suffix_min[start] > w:
-                return
-            if weight + remaining * suffix_max[start] < w:
-                return
-            for g in range(start, count):
-                if weight + degs[g] + (remaining - 1) * suffix_min[g] > w:
-                    continue
-                if weight + degs[g] + (remaining - 1) * suffix_max[g] < w:
-                    continue
+            if weight == w:
+                out[len(acc)].append(tuple(acc))
+            for g in range(start, len(degs)):
+                if weight + degs[g] < w:
+                    break
                 acc.append(g)
                 rec(g if parity[g] else g + 1, weight + degs[g])
                 acc.pop()
 
         rec(0, 0)
         return out
+
+    def enumerate_basis(self, m: int, w: int) -> list[SuperWord]:
+        """All canonical super words of length m and weight w, in word order:
+        entry m of ``words(w)``, empty beyond the longest word."""
+        if m < 1:
+            raise ValueError("chain degree m must be >= 1")
+        words = self.words(w)
+        return words[m] if m < len(words) else []
 
     # -- boundary -------------------------------------------------------------
 

@@ -7,6 +7,8 @@ zero coefficients are always pruned, and the term order is lexicographic.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .liealg import LieAlgebraSpec, OneForm, VectorField
 from .scalars import PolyT, Terms, _as_poly, add_term
 
@@ -38,6 +40,12 @@ def _merge_tuples(a: tuple[int, ...], b: tuple[int, ...]):
     out.extend(a[i:])
     out.extend(b[j:])
     return sign, tuple(out)
+
+
+def monomials(n: int) -> list[tuple[int, ...]]:
+    """The 2^n increasing index tuples over 1..n, by (degree, index tuple):
+    the order of the form and multivector basis items."""
+    return [ids for deg in range(n + 1) for ids in combinations(range(1, n + 1), deg)]
 
 
 def monomial_key(ids, n: int) -> tuple[int, ...]:

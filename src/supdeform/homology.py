@@ -83,8 +83,15 @@ class BoundaryMatrix:
 
 
 def boundary_matrix(system: ChainComplexSystem, m: int, w: int) -> BoundaryMatrix:
-    cols = system.enumerate_basis(m, w)
-    rows = system.enumerate_basis(m - 1, w) if m >= 2 else []
+    if m < 1:
+        raise ValueError("chain degree m must be >= 1")
+    return _matrix(system, w, system.words(w), m)
+
+
+def _matrix(system: ChainComplexSystem, w: int, words: list[list[SuperWord]], m: int) -> BoundaryMatrix:
+    """d_m from the weight-w words by length (no rows for m = 1)."""
+    rows = words[m - 1] if 2 <= m <= len(words) else []
+    cols = words[m] if m < len(words) else []
     row_index = {word: i for i, word in enumerate(rows)}
     try:
         columns = [{row_index[target]: nums for target, nums in system._boundary_terms(word).items()} for word in cols]
@@ -347,8 +354,10 @@ def _poly_sort_key(p: PolyT):
 
 def boundary_matrices(system: ChainComplexSystem, w: int) -> Iterator[BoundaryMatrix]:
     """d_1 .. d_bound of the weight-w complex, bound its longest word, built
-    one at a time as they are consumed."""
-    return (boundary_matrix(system, m, w) for m in range(1, system.max_length(w) + 1))
+    one at a time as they are consumed from one ``system.words(w)``, so the
+    rows of d_{m+1} are the columns of d_m, the same list."""
+    words = system.words(w)
+    return (_matrix(system, w, words, m) for m in range(1, len(words)))
 
 
 def _ranks_and_locus(

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import lcm
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from supdeform.brackets import DeformationSpec, SuperElement, extension_bracket
 from supdeform.chains import ChainComplexSystem, ChainElement, normalize
 from supdeform.config import load_config
 from supdeform.exterior import FORM, GradedElement, lie_derivative
-from supdeform.homology import boundary_matrices
+from supdeform.homology import boundary_matrices, boundary_matrix
 from supdeform.liealg import OneForm, VectorField, heisenberg3, solvable2
 from supdeform.scalars import ZERO, _zadd_term, poly
 
@@ -165,6 +166,16 @@ class TestEnumerateBasis:
     def test_no_words_of_positive_weight(self, sys_ext):
         for m in (1, 2, 3):
             assert sys_ext.enumerate_basis(m, 1) == []
+
+    def test_nothing_beyond_the_longest_word(self, sys_ext):
+        longest = sys_ext.max_length(-3)
+        assert sys_ext.enumerate_basis(longest, -3) == sys_ext.words(-3)[longest] != []
+        assert sys_ext.enumerate_basis(longest + 1, -3) == []
+        assert boundary_matrix(sys_ext, longest + 1, -3).shape == (len(sys_ext.words(-3)[longest]), 0)
+        assert boundary_matrix(sys_ext, longest + 2, -3).shape == (0, 0)
+        for chain_degree in (sys_ext.enumerate_basis, lambda m, w: boundary_matrix(sys_ext, m, w)):
+            with pytest.raises(ValueError, match="m must be >= 1"):
+                chain_degree(0, -3)
 
 
 class TestBoundary:
@@ -424,3 +435,33 @@ def test_pairs_hold_the_nonzero_brackets_over_one_den(system):
     assert system.den == lcm(*dens)
     for w in (-2, -3):
         assert {M.scale for M in boundary_matrices(system, w)} == {system.den}
+
+
+@pytest.mark.parametrize("system", list(_bracket_systems()), ids=["dim2-extended", "aff1-aff1-g0prime", "heis-span2", "heis-span3"])
+def test_item_superdegrees_never_increase(system):
+    """The word walk ends its loop at the first generator that takes the
+    weight below w, which needs vectors (0) first, then forms (-1, -2, ...)."""
+    degs = system.degree
+    assert degs == [item.superdegree for item in system.brackets.items]
+    assert all(a >= b for a, b in zip(degs, degs[1:]))
+    assert degs[0] <= 0
+
+
+@pytest.mark.parametrize("system", list(_bracket_systems()), ids=["dim2-extended", "aff1-aff1-g0prime", "heis-span2", "heis-span3"])
+def test_words_match_brute_force_by_length(system):
+    """``words(w)[m]`` is every nondecreasing generator tuple of length m
+    with no repeated even generator and degree sum w, in the order of
+    ``combinations_with_replacement``, for every m up to ``max_length(w)``."""
+    degs, parity = system.degree, system.parity
+    for w in range(1, -5, -1):
+        words = system.words(w)
+        assert len(words) == system.max_length(w) + 1
+        for m, got in enumerate(words):
+            expected = [
+                c
+                for c in combinations_with_replacement(range(len(degs)), m)
+                if sum(map(degs.__getitem__, c)) == w and all(a != b or parity[a] for a, b in zip(c, c[1:]))
+            ]
+            assert got == expected, (w, m)
+            if m:
+                assert system.enumerate_basis(m, w) == expected

@@ -201,14 +201,15 @@ class TestCli:
     def test_internal_failure_exits_one_without_traceback(self, monkeypatch, capsys, command):
         """A failed assembly exits 1 with stdout empty, also when it fails
         only at the second weight, after the first weight's matrices."""
-        original = homology.boundary_matrix
+        original = homology.boundary_matrices
 
-        def broken(system, m, w):
-            if w in failing:
-                raise RuntimeError("boundary image left the expected weight space")
-            return original(system, m, w)
+        def broken(system, w):
+            for M in original(system, w):
+                if w in failing:
+                    raise RuntimeError("boundary image left the expected weight space")
+                yield M
 
-        monkeypatch.setattr(homology, "boundary_matrix", broken)
+        monkeypatch.setattr(homology, "boundary_matrices", broken)
         for failing, weights in [({-3}, []), ({-3}, ["--weight", "-2", "--weight", "-3"])]:
             # an escaping exception would fail this call instead of returning 1
             assert main([command, "--config", self._cfg("dim2-standard.cfg"), *weights]) == 1

@@ -637,6 +637,33 @@ def test_report_locus_is_its_special_conditions(monkeypatch):
     assert special_locus(None, 0) == [a, b]
 
 
+def test_betti_piecewise_enumerates_the_words_once(monkeypatch):
+    """One word search per weight: each d_m takes its bases from lists m - 1
+    and m of that one result, so the rows of d_{m+1} are the columns of d_m,
+    and the matrices equal those ``boundary_matrix`` builds one by one."""
+    config = load_config(AFF_G0P)
+    system = ChainComplexSystem(config.deformation, config.extension)
+    searches = []
+    original_words = ChainComplexSystem.words
+
+    def words(self, w):
+        searches.append(w)
+        return original_words(self, w)
+
+    monkeypatch.setattr(ChainComplexSystem, "words", words)
+    for w in (-2, -4):
+        matrices = list(homology.boundary_matrices(system, w))
+        assert searches == [w]
+        assert all(B.rows is A.cols for A, B in zip(matrices, matrices[1:]))
+        searches.clear()
+        betti_piecewise(system, w)
+        assert searches == [w]
+        searches.clear()
+        singles = [boundary_matrix(system, m, w) for m in range(1, system.max_length(w) + 1)]
+        assert [(M.rows, M.cols, M.columns) for M in singles] == [(M.rows, M.cols, M.columns) for M in matrices]
+        searches.clear()
+
+
 def test_betti_piecewise_eliminates_each_matrix_once(monkeypatch):
     """Each matrix's unit pivots are cancelled on its integer columns, and
     only the non-empty residuals are eliminated and specialized."""
@@ -656,9 +683,12 @@ def test_betti_piecewise_eliminates_each_matrix_once(monkeypatch):
 
         return wrapper
 
-    def building(system, m, w):
-        built.append(boundary_matrix(system, m, w))
-        return built[-1]
+    original_matrices = homology.boundary_matrices
+
+    def building(system, w):
+        for M in original_matrices(system, w):
+            built.append(M)
+            yield M
 
     def cancelling(columns):
         assert columns is built[len(residuals)].columns
@@ -675,7 +705,7 @@ def test_betti_piecewise_eliminates_each_matrix_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(homology, name, counting(name))
-    monkeypatch.setattr(homology, "boundary_matrix", building)
+    monkeypatch.setattr(homology, "boundary_matrices", building)
     monkeypatch.setattr(homology, "_cancel_units", cancelling)
     monkeypatch.setattr(homology, "_rank_at", rank_at)
     report = betti_piecewise(system, -4)
